@@ -1,8 +1,8 @@
 """Compile-service load: 100+ concurrent edit sessions vs serial truth.
 
 The daemon's whole claim is that many interactive sessions can share one
-scheduler substrate — artifact cache, incremental analyzer state — and
-still get exactly the executables a cold serial pipeline would produce.
+scheduler substrate — the shared artifact cache — and still get exactly
+the executables a cold serial pipeline would produce.
 This harness opens ``REPRO_SERVICE_SESSIONS`` concurrent client threads
 (default 100) against one daemon.  Each session is seeded from a small
 pool of fuzz programs (``FuzzProgramGenerator``), compiles, applies a
@@ -12,10 +12,10 @@ uncached compile of the same sources.
 
 Sessions deliberately reuse seeds (pool of ~25 distinct programs), so
 the run exercises both reuse axes at once: cross-session dedupe through
-the shared sharded cache, and per-edit incremental reuse inside a
-session.  Client-side request latencies are recorded per operation and
-reported as p50/p95.  Results land in the ``service_load`` section of
-``BENCH_results.json``.
+the shared sharded cache, and per-edit reuse of the unedited modules'
+phase-1/phase-2 artifacts inside a session.  Client-side request
+latencies are recorded per operation and reported as p50/p95.  Results
+land in the ``service_load`` section of ``BENCH_results.json``.
 
 ``REPRO_SERVICE_SESSIONS`` restricts the session count — CI's smoke
 step runs with 12.

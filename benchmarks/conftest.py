@@ -124,11 +124,6 @@ _BENCH_WORKLOADS: dict = {}
 _SCHEDULER_METRICS: dict = {}
 
 
-# Incremental-analyzer editing-session totals (bench_incremental.py),
-# written alongside the tables at session end.
-_INCREMENTAL_SESSION: dict = {}
-
-
 # Disabled-tracing overhead measurements (bench_observability.py),
 # written alongside the tables at session end.
 _OBSERVABILITY: dict = {}
@@ -267,7 +262,6 @@ def write_bench_report(json_path) -> dict:
     for key, section in (
         ("workloads", _BENCH_WORKLOADS),
         ("scheduler", _SCHEDULER_METRICS),
-        ("incremental_session", _INCREMENTAL_SESSION),
         ("observability_overhead", _OBSERVABILITY),
         ("simulator_throughput", _SIM_THROUGHPUT),
         ("allocator_tournament", _ALLOCATOR_TOURNAMENT),
@@ -306,9 +300,9 @@ def _append_bench_history(json_path):
 
 def pytest_sessionfinish(session, exitstatus):
     written = []
-    if (_BENCH_WORKLOADS or _SCHEDULER_METRICS or _INCREMENTAL_SESSION
-            or _OBSERVABILITY or _SIM_THROUGHPUT
-            or _ALLOCATOR_TOURNAMENT or _SCALABILITY or _SERVICE_LOAD):
+    if (_BENCH_WORKLOADS or _SCHEDULER_METRICS or _OBSERVABILITY
+            or _SIM_THROUGHPUT or _ALLOCATOR_TOURNAMENT or _SCALABILITY
+            or _SERVICE_LOAD):
         json_path = os.path.join(
             os.path.dirname(__file__), "BENCH_results.json"
         )

@@ -28,10 +28,10 @@ import sys
 
 from repro import AnalyzerOptions
 from repro.analyzer.driver import analyze_program
+from repro.backend.allocators.paper import allocate_function
 from repro.backend.finalize import finalize_frame
 from repro.backend.isel import select_function
 from repro.backend.promotion import apply_web_promotion
-from repro.backend.regalloc import allocate_function
 from repro.frontend.phase1 import compile_module_phase1
 from repro.ir.printer import format_function
 from repro.opt.pipeline import _local_fixpoint
@@ -180,7 +180,7 @@ def serve(args) -> None:
 
 HELP = """\
 commands:
-  compile           recompile the session (shows cache/incremental reuse)
+  compile           recompile the session (shows cache reuse)
   edit <module>     replace a module's source; end input with a lone "."
   profile           run the program, feed call counts back (configs B/F)
   modules           list the session's modules
@@ -234,11 +234,6 @@ def connect(args) -> None:
                         f" {out['lock_seconds'] * 1000:.1f}ms on the"
                         f" session lock)"
                     )
-                    if out["analyze"]:
-                        reused = out["analyze"].get("webs_reused", 0)
-                        redone = out["analyze"].get("webs_recomputed", 0)
-                        print(f"analyzer: {reused} webs reused, "
-                              f"{redone} recomputed")
                 elif command == "edit":
                     if not argument:
                         print("usage: edit <module>")

@@ -44,11 +44,6 @@ from repro.driver.pipeline import (
     run_phase1,
 )
 from repro.driver.scheduler import CompilationScheduler, MetricsSnapshot
-from repro.incremental import (
-    IncrementalAnalyzer,
-    InvalidationReport,
-    SummaryDB,
-)
 from repro.machine.profiler import ProfileData
 from repro.machine.simulator import (
     ConventionViolation,
@@ -80,14 +75,11 @@ __all__ = [
     "CostModel",
     "MetricsSnapshot",
     "ExecutionStats",
-    "IncrementalAnalyzer",
-    "InvalidationReport",
     "MachineError",
     "MetricsRegistry",
     "PAPER_CONFIGS",
     "ProfileData",
     "ProgramDatabase",
-    "SummaryDB",
     "Tracer",
     "analyze_program",
     "collect_profile",

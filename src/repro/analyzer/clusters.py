@@ -202,8 +202,8 @@ def _grow_cluster(
                 continue
             cluster_nodes.add(candidate)
             changed = True
-    # Frozen members let every downstream census (ClusterRecord, the
-    # incremental dependency graph) share the set instead of copying it.
+    # Frozen members let ClusterRecord share the set instead of copying
+    # it.
     return Cluster(root, frozenset(cluster_nodes - {root}))
 
 

@@ -50,10 +50,11 @@ def web_priority_parts(web: Web, graph: CallGraph) -> tuple:
     """The ``(benefit, entry_cost)`` pair behind a web's priority.
 
     Both accumulations use :func:`math.fsum`, whose result is independent
-    of summation order: ``web.nodes`` is a set, and the incremental
-    analyzer replays webs whose sets were rebuilt in a different
-    insertion order than a from-scratch construction — the priority (and
-    everything downstream of its ordering) must not depend on that.
+    of summation order: ``web.nodes`` is a set, so its iteration order
+    depends on how the set was built, and the priority (and everything
+    downstream of its ordering) must not.  Plain ``sum`` would round
+    differently and could move priorities, and with them the database
+    bytes.
     """
     # (global_refs, clamped weight) per node, memoized on the graph:
     # priorities touch every member of every live web, and the repeated

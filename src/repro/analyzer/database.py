@@ -133,7 +133,7 @@ def directive_payload(directives: ProcedureDirectives) -> dict:
 
     The single source of truth for directive serialization: both the
     database's JSON round-trip and the per-module digests the
-    incremental driver keys its phase-2 cache on are built from it.
+    scheduler keys its phase-2 cache on are built from it.
     """
     return {
         "free": sorted(directives.free),

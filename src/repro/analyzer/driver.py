@@ -13,8 +13,7 @@ flow through the database.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.analyzer.clusters import identify_clusters
 from repro.analyzer.coloring import (
@@ -44,57 +43,11 @@ from repro.frontend.summary import ModuleSummary
 from repro.obs.tracer import current_tracer
 
 
-@dataclass
-class AnalysisTrace:
-    """Optional capture of one analyzer run's intermediate structures.
-
-    The incremental analyzer (:mod:`repro.incremental`) records
-    dependency information and memoization entries from these; nothing
-    here feeds back into the run itself.
-    """
-
-    graph: object = None
-    eligible: frozenset = frozenset()
-    reference_sets: object = None  # ReferenceSets (web promotion only)
-    webs: list = field(default_factory=list)
-    clusters: list = field(default_factory=list)
-    dominators: object = None
-    register_sets: dict = field(default_factory=dict)
-    web_reserved: dict = field(default_factory=dict)
-    #: variable -> (first web id consumed, ids consumed) during web
-    #: construction — what an id-exact replay needs.
-    web_id_spans: dict = field(default_factory=dict)
-    #: Construction-time web structure, captured *before* coloring
-    #: mutates registers/priorities/discard reasons:
-    #: (variable, web_id, nodes, from_split, discarded_reason) tuples.
-    web_snapshots: list = field(default_factory=list)
-
-
-#: Computes (or replays) the screened webs of one variable; signature
-#: ``(variable, graph, sets, static_modules, next_id) -> list[Web]``.
-WebSupplier = Callable[..., list]
-
-#: Computes (or replays) the cluster list; signature
-#: ``(graph, dominators) -> list[Cluster]``.
-ClusterSupplier = Callable[..., list]
-
-
 def analyze_program(
     summaries: Iterable[ModuleSummary],
     options: Optional[AnalyzerOptions] = None,
-    *,
-    web_supplier: Optional[WebSupplier] = None,
-    cluster_supplier: Optional[ClusterSupplier] = None,
-    trace: Optional[AnalysisTrace] = None,
 ) -> ProgramDatabase:
-    """Run the full analyzer and return the program database.
-
-    ``web_supplier`` / ``cluster_supplier`` substitute the per-variable
-    web construction and cluster identification steps (the incremental
-    analyzer passes memoizing suppliers); ``trace``, when given,
-    captures the run's intermediate structures.  All default to off and
-    leave behavior bit-identical.
-    """
+    """Run the full analyzer and return the program database."""
     summaries = list(summaries)
     options = options or AnalyzerOptions()
     database = ProgramDatabase()
@@ -130,7 +83,6 @@ def analyze_program(
         _run_web_promotion(
             graph, summaries, eligible, options, database,
             promoted_per_proc, web_reserved,
-            web_supplier=web_supplier, trace=trace,
         )
     elif options.global_promotion == "blanket":
         if exported is not None:
@@ -161,21 +113,14 @@ def analyze_program(
         )
 
     roots: set = set()
-    clusters: list = []
-    dominators = None
     if options.spill_code_motion:
         with tracer.span("clusters"):
             dominators = graph.dominator_tree()
-            if cluster_supplier is not None:
-                clusters = cluster_supplier(graph, dominators)
-            else:
-                clusters = identify_clusters(
-                    graph, dominators, options.profile,
-                    options.cluster_options,
-                )
+            clusters = identify_clusters(
+                graph, dominators, options.profile,
+                options.cluster_options,
+            )
             if tracer.enabled:
-                # Emitted here (not inside identify_clusters) so a
-                # supplier-replayed cluster list narrates identically.
                 for cluster in clusters:
                     tracer.event(
                         "cluster-formed",
@@ -242,15 +187,6 @@ def analyze_program(
                 "directive", procedure=name,
                 **directive_payload(directives),
             )
-    if trace is not None:
-        trace.graph = graph
-        trace.eligible = frozenset(eligible)
-        trace.clusters = clusters
-        trace.dominators = dominators
-        trace.register_sets = register_sets
-        trace.web_reserved = {
-            name: frozenset(regs) for name, regs in web_reserved.items()
-        }
     return database
 
 
@@ -309,33 +245,15 @@ def _storing_nodes(graph: CallGraph) -> dict:
 def _run_web_promotion(
     graph, summaries, eligible, options, database,
     promoted_per_proc, web_reserved,
-    web_supplier=None, trace=None,
 ) -> None:
-    from repro.analyzer.webs import identify_variable_webs
-
     tracer = current_tracer()
     sets = compute_reference_sets(graph, eligible)
-    static_modules = _static_modules(summaries)
-    next_id = [1]
-    webs: list = []
-    web_id_spans: dict = {}
     with tracer.span("web-formation"):
-        for variable in sorted(eligible):
-            start = next_id[0]
-            if web_supplier is not None:
-                variable_webs = web_supplier(
-                    variable, graph, sets, static_modules, next_id
-                )
-            else:
-                variable_webs = identify_variable_webs(
-                    graph, sets, variable, options.web_options,
-                    static_modules, next_id,
-                )
-            web_id_spans[variable] = (start, next_id[0] - start)
-            webs.extend(variable_webs)
+        webs = identify_webs(
+            graph, sets, eligible, options.web_options,
+            _static_modules(summaries),
+        )
         if tracer.enabled:
-            # Emitted after construction (not inside the web builder) so
-            # a supplier-replayed run narrates identically to a fresh one.
             for web in webs:
                 if web.discarded_reason is None:
                     tracer.event(
@@ -354,18 +272,6 @@ def _run_web_promotion(
                         nodes=web.nodes,
                         reason=web.discarded_reason,
                     )
-    if trace is not None:
-        trace.reference_sets = sets
-        trace.webs = webs
-        trace.web_id_spans = web_id_spans
-        # Copies taken *now*: coloring later mutates these same Web
-        # objects (register, priority, discard reason), and replay must
-        # reproduce the construction-time state.
-        trace.web_snapshots = [
-            (web.variable, web.web_id, frozenset(web.nodes),
-             web.from_split, web.discarded_reason)
-            for web in webs
-        ]
     reason_counts: dict = defaultdict(int)
     for w in webs:
         reason_counts[w.discarded_reason] += 1

@@ -161,10 +161,8 @@ def identify_variable_webs(
     """Compute the (screened) webs of one variable.
 
     Construction for different variables is independent except for the
-    shared ``next_id`` counter, so callers that memoize per-variable
-    results (the incremental analyzer) get output identical to
-    :func:`identify_webs` as long as they replay the same number of
-    consumed ids per variable.
+    shared ``next_id`` counter, which :func:`identify_webs` threads
+    through the variables in sorted order.
     """
     options = options or WebOptions()
     if next_id is None:
@@ -209,9 +207,8 @@ def _identify_variable_webs_packed(
     Webs are node bitmasks until screening; every growth/merge step
     follows the reference control flow call for call, so the id counter
     advances identically and the resulting web list (ids, member sets,
-    order) is indistinguishable from the reference kernel's — the
-    property the incremental analyzer's per-variable replay depends on.
-    Node bit order is ``sorted(graph.nodes)``, so ascending-bit sweeps
+    order) is indistinguishable from the reference kernel's.  Node bit
+    order is ``sorted(graph.nodes)``, so ascending-bit sweeps
     reproduce the reference ``sorted(...)`` traversals.
     """
     packed, lref, pref, cref = packed_variable_masks(graph, sets)

@@ -21,10 +21,9 @@ after defs — all tagged singleton, since register spill traffic is scalar)
 and allocation reruns.
 
 This is the ``paper`` strategy — the default, and the configuration the
-source paper measures.  Moved here verbatim from
-``repro.backend.regalloc`` (which remains as a compatibility shim); the
-regression suite pins its output byte-identical to the pre-refactor
-allocator.
+source paper measures.  It was moved here verbatim from the former
+``repro.backend.regalloc`` module; the regression suite pins its output
+byte-identical to the pre-refactor allocator.
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ def module_directive_names(module: IRModule) -> frozenset:
     ``subtree_caller_used`` shape the clobber sets at call sites.
     Intra-module callees are already covered by (a); indirect calls
     assume the full convention and never consult the database.  The
-    incremental driver digests exactly this set to decide whether a new
-    program database requires recompiling the module.
+    scheduler digests exactly this set to decide whether a new program
+    database requires recompiling the module.
     """
     return frozenset(module.functions) | frozenset(module.extern_functions)
 

@@ -47,11 +47,10 @@ def default_scheduler():
     means one per CPU) / ``REPRO_CACHE_DIR`` environment variables say
     otherwise at first use; ``REPRO_VERIFY=1`` additionally runs the
     post-link allocation auditor (:mod:`repro.verify.auditor`) on every
-    linked executable, ``REPRO_INCREMENTAL=1`` routes the analyze stage
-    through the incremental engine (:mod:`repro.incremental`),
-    ``REPRO_CACHE_MAX_BYTES`` caps the artifact cache's on-disk size,
-    and ``REPRO_ALLOCATOR`` picks the phase-2 allocation strategy
-    (read at each compilation, like ``REPRO_SIM`` for the simulator).
+    linked executable, ``REPRO_CACHE_MAX_BYTES`` caps the artifact
+    cache's on-disk size, and ``REPRO_ALLOCATOR`` picks the phase-2
+    allocation strategy (read at each compilation, like ``REPRO_SIM``
+    for the simulator).
     """
     global _default_scheduler
     if _default_scheduler is None:

@@ -88,10 +88,6 @@ class MetricsSnapshot:
     cache_misses: dict = field(default_factory=dict)
     cache_bad_entries: dict = field(default_factory=dict)
     cache_evictions: dict = field(default_factory=dict)
-    #: Analyze-stage incremental counters (REPRO_INCREMENTAL runs):
-    #: runs, incremental, full_fallbacks, webs/clusters reused and
-    #: recomputed, procedures patched and retained.
-    analyze: dict = field(default_factory=dict)
     #: Most recent allocation-audit summary (REPRO_VERIFY runs only);
     #: not a counter — ``minus`` carries the newer snapshot's value.
     audit: dict = field(default_factory=dict)
@@ -101,9 +97,9 @@ class MetricsSnapshot:
 
         Two explicit rules:
 
-        * **counter fields** (``stage_seconds``, ``stage_tasks``, the
-          ``cache_*`` families, and ``analyze``) hold flat numeric
-          values and are differenced key-by-key, dropping zero deltas;
+        * **counter fields** (``stage_seconds``, ``stage_tasks`` and
+          the ``cache_*`` families) hold flat numeric values and are
+          differenced key-by-key, dropping zero deltas;
         * **``audit``** is a point-in-time snapshot with nested
           non-numeric values (``violations_by_check`` dicts, violation
           strings) — differencing it is meaningless, so the newer
@@ -130,7 +126,6 @@ class MetricsSnapshot:
             cache_evictions=diff(
                 self.cache_evictions, earlier.cache_evictions
             ),
-            analyze=diff(self.analyze, earlier.analyze),
             audit=deepcopy(self.audit),
         )
 
@@ -143,7 +138,6 @@ class MetricsSnapshot:
             "cache_misses": dict(self.cache_misses),
             "cache_bad_entries": dict(self.cache_bad_entries),
             "cache_evictions": dict(self.cache_evictions),
-            "analyze": dict(self.analyze),
             "audit": deepcopy(self.audit),
         }
 
@@ -158,7 +152,6 @@ class MetricsSnapshot:
             cache_misses=dict(payload.get("cache_misses", {})),
             cache_bad_entries=dict(payload.get("cache_bad_entries", {})),
             cache_evictions=dict(payload.get("cache_evictions", {})),
-            analyze=dict(payload.get("analyze", {})),
             audit=deepcopy(payload.get("audit", {})),
         )
 
@@ -190,12 +183,10 @@ class CompilationScheduler:
             raise :class:`~repro.verify.auditor.AuditError` on any
             directive violation.  ``None`` (the default) reads the
             ``REPRO_VERIFY`` environment variable ("1" enables).
-        incremental: Route the analyze stage through an
-            :class:`~repro.incremental.engine.IncrementalAnalyzer`, so
-            repeated compilations of an edited program re-analyze only
-            the dirty region and patch the retained database in place.
-            ``None`` (the default) reads the ``REPRO_INCREMENTAL``
-            environment variable ("1" enables).
+        incremental: Must be false.  The incremental analyzer was
+            removed because a full re-analysis is faster at every
+            measured program size; a true value raises
+            :class:`ValueError`.
         trace: Observability tracing (:mod:`repro.obs.tracer`).  A path
             writes a deterministic JSONL event stream there; ``True``
             collects records in memory on ``scheduler.tracer.records``;
@@ -224,11 +215,17 @@ class CompilationScheduler:
         jobs: int | None = 1,
         cache_dir=None,
         verify: bool | None = None,
-        incremental: bool | None = None,
+        incremental: bool = False,
         trace=None,
         allocator: str | None = None,
         cache: ArtifactCache | None = None,
     ):
+        if incremental:
+            raise ValueError(
+                "incremental=True is no longer supported: the "
+                "incremental analyzer was removed, and every compile "
+                "runs the full analyzer"
+            )
         self.allocator = allocator
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -259,22 +256,11 @@ class CompilationScheduler:
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY", "") not in ("", "0")
         self.verify = verify
-        if incremental is None:
-            incremental = os.environ.get(
-                "REPRO_INCREMENTAL", ""
-            ) not in ("", "0")
-        self.incremental_analyzer = None
-        if incremental:
-            from repro.incremental import IncrementalAnalyzer
-
-            self.incremental_analyzer = IncrementalAnalyzer()
-        self.last_invalidation_report = None
         self.last_audit_report = None
         self._last_audit_summary: dict = {}
         self._executor = None
         self._stage_seconds: dict = {}
         self._stage_tasks: dict = {}
-        self._analyze_counters: dict = {}
 
     # -- lifecycle --------------------------------------------------------
 
@@ -341,14 +327,12 @@ class CompilationScheduler:
             cache_misses=cache_stats["misses"],
             cache_bad_entries=cache_stats["bad_entries"],
             cache_evictions=cache_stats["evictions"],
-            analyze=dict(self._analyze_counters),
             audit=dict(self._last_audit_summary),
         )
 
     def reset_metrics(self) -> None:
         self._stage_seconds.clear()
         self._stage_tasks.clear()
-        self._analyze_counters.clear()
         if self.cache is not None:
             self.cache.stats.clear()
 
@@ -447,54 +431,14 @@ class CompilationScheduler:
         return results
 
     def analyze(self, summaries: list, options) -> ProgramDatabase:
-        """The program analyzer.
-
-        Without ``incremental`` the stage re-runs from scratch (it is
-        whole-program by nature).  With it, the engine diffs the
-        summaries against the previous epoch, re-analyzes only the
-        dirty region, and patches the retained database in place; the
-        resulting :class:`~repro.incremental.engine.InvalidationReport`
-        lands on :attr:`last_invalidation_report` and its counters ride
-        the next metrics snapshot.
-        """
+        """The program analyzer, re-run from scratch every time: it is
+        whole-program by nature, and per-module reuse lives in the
+        phase-1 and phase-2 caches."""
         tracer = self.tracer
         with self._timed("analyze"), tracer.span("analyze"), \
                 activate(tracer):
             self._count_tasks("analyze", 1)
-            if self.incremental_analyzer is None:
-                return analyze_program(summaries, options)
-            database, report = self.incremental_analyzer.update(
-                summaries, options
-            )
-            self.last_invalidation_report = report
-            if tracer.enabled:
-                tracer.event(
-                    "invalidation",
-                    mode=report.mode,
-                    reason=report.reason,
-                    webs_reused=report.webs_reused,
-                    webs_recomputed=report.webs_recomputed,
-                    clusters_reused=report.clusters_reused,
-                    clusters_recomputed=report.clusters_recomputed,
-                )
-            counters = self._analyze_counters
-
-            def bump(name: str, amount: int = 1) -> None:
-                counters[name] = counters.get(name, 0) + amount
-
-            bump("runs")
-            bump(
-                "incremental"
-                if report.mode == "incremental"
-                else "full_fallbacks"
-            )
-            bump("webs_reused", report.webs_reused)
-            bump("webs_recomputed", report.webs_recomputed)
-            bump("clusters_reused", report.clusters_reused)
-            bump("clusters_recomputed", report.clusters_recomputed)
-            bump("procedures_patched", report.procedures_patched)
-            bump("procedures_retained", report.procedures_retained)
-            return database
+            return analyze_program(summaries, options)
 
     def compile_objects(
         self,

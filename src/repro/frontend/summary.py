@@ -17,19 +17,8 @@ between phases.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-
-#: Bump when the summary record layout changes: fingerprints — and any
-#: summary-store entries keyed on them — must not survive such a change.
-SUMMARY_SCHEMA = 1
-
-
-def _canonical_digest(payload) -> str:
-    """sha256 of the canonical (sorted-keys) JSON form of ``payload``."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -49,40 +38,6 @@ class ProcedureSummary:
     max_call_args: int = 0
     num_params: int = 0
 
-    def canonical_payload(self) -> dict:
-        """Order-insensitive JSON-able form of this record.
-
-        Dict iteration order and list order never leak into the payload
-        (dicts are emitted sorted, lists of names are sorted), so two
-        summaries carrying the same facts fingerprint identically no
-        matter how the front end happened to enumerate them.
-        """
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "name": self.name,
-            "module": self.module,
-            "global_refs": {
-                k: self.global_refs[k] for k in sorted(self.global_refs)
-            },
-            "global_stores": {
-                k: self.global_stores[k] for k in sorted(self.global_stores)
-            },
-            "calls": {k: self.calls[k] for k in sorted(self.calls)},
-            "address_taken_procs": sorted(self.address_taken_procs),
-            "makes_indirect_calls": self.makes_indirect_calls,
-            "indirect_call_freq": self.indirect_call_freq,
-            "callee_saves_needed": self.callee_saves_needed,
-            "caller_saves_needed": self.caller_saves_needed,
-            "max_call_args": self.max_call_args,
-            "num_params": self.num_params,
-        }
-
-    def fingerprint(self) -> str:
-        """Canonical content address of everything the analyzer can see
-        of this procedure (globals + frequencies, call edges +
-        frequencies, address-taken/indirect flags, register estimates)."""
-        return _canonical_digest(self.canonical_payload())
-
 
 @dataclass
 class GlobalSummary:
@@ -94,15 +49,6 @@ class GlobalSummary:
     address_taken: bool = False
     is_static: bool = False
 
-    def canonical_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "is_scalar_word": self.is_scalar_word,
-            "address_taken": self.address_taken,
-            "is_static": self.is_static,
-        }
-
 
 @dataclass
 class ModuleSummary:
@@ -113,36 +59,6 @@ class ModuleSummary:
     procedures: list = field(default_factory=list)
     # Data symbols whose address this module computes (includes externs).
     aliased_globals: list = field(default_factory=list)
-
-    def canonical_payload(self) -> dict:
-        """Order-insensitive JSON-able form of the whole summary file:
-        records are keyed (not listed), so declaration order never leaks
-        into the module fingerprint."""
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "module_name": self.module_name,
-            "globals": {
-                g.name: g.canonical_payload()
-                for g in sorted(self.globals, key=lambda g: g.name)
-            },
-            "procedures": {
-                p.name: p.canonical_payload()
-                for p in sorted(self.procedures, key=lambda p: p.name)
-            },
-            "aliased_globals": sorted(self.aliased_globals),
-        }
-
-    def fingerprint(self) -> str:
-        """Canonical content address of the whole summary file.
-
-        This is *the* hashing scheme for summaries: the incremental
-        analyzer's summary store keys on it (and on the per-procedure
-        :meth:`ProcedureSummary.fingerprint`), deliberately distinct
-        from ``phase1_fingerprint`` which keys on *source text* — a
-        source edit that leaves the summary identical must still read
-        as "analyzer input unchanged" here.
-        """
-        return _canonical_digest(self.canonical_payload())
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

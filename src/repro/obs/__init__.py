@@ -2,9 +2,8 @@
 
 The analyzer makes thousands of interdependent decisions per program —
 web formation, interference coloring, cluster selection, register-set
-assignment — and the scheduler, incremental engine, and auditor judge
-those decisions.  This package is what lets a human (or a later tool)
-*explain* them:
+assignment — and the scheduler and auditor judge those decisions.
+This package is what lets a human (or a later tool) *explain* them:
 
 * :mod:`repro.obs.tracer` — zero-dependency structured event/span
   tracer producing deterministic JSONL streams;
@@ -13,8 +12,8 @@ those decisions.  This package is what lets a human (or a later tool)
   :func:`~repro.obs.provenance.explain_global` /
   :func:`~repro.obs.provenance.explain_procedure`;
 * :mod:`repro.obs.metrics` — a unified counter/gauge/histogram registry
-  folding scheduler, incremental, audit, and simulator counters into
-  one exportable view;
+  folding scheduler, audit, and simulator counters into one
+  exportable view;
 * :mod:`repro.obs.flame` — span-stream profiling: collapsed-stack
   flamegraph folding, self-time tables, per-request latency
   breakdowns over daemon trace streams;
@@ -50,7 +49,6 @@ from repro.obs.tracer import (
     canonicalize_trace,
     current_tracer,
     read_trace,
-    suppressed,
     trace_groups,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "self_time_table",
     "slowest_requests",
     "span_tree",
-    "suppressed",
     "trace_groups",
     "unified_registry",
 ]

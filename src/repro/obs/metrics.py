@@ -6,9 +6,7 @@ plus text and JSON exporters, and *fold* functions that pour every
 existing instrumentation surface into it:
 
 * :class:`~repro.driver.scheduler.MetricsSnapshot` (stage wall-clock,
-  task counts, cache counters, incremental ``analyze`` counters, the
-  last audit summary);
-* :class:`~repro.incremental.engine.InvalidationReport`;
+  task counts, cache counters, the last audit summary);
 * post-link audit summaries;
 * :class:`~repro.machine.simulator.ExecutionStats`, including the new
   per-procedure counters, attributed per cluster root against a
@@ -218,8 +216,6 @@ def fold_metrics_snapshot(registry: MetricsRegistry, snapshot) -> None:
                 "repro_cache_events_total", count,
                 stage=stage, outcome=outcome,
             )
-    for counter, count in snapshot.analyze.items():
-        registry.inc("repro_analyze_total", count, counter=counter)
     if snapshot.audit:
         fold_audit(registry, snapshot.audit)
 
@@ -240,31 +236,6 @@ def fold_audit(registry: MetricsRegistry, summary: dict) -> None:
         registry.inc(
             "repro_audit_violations_total", count, check=check
         )
-
-
-def fold_invalidation(registry: MetricsRegistry, report) -> None:
-    """Fold an incremental :class:`InvalidationReport`."""
-    registry.inc("repro_invalidation_runs_total", mode=report.mode)
-    if report.reason:
-        registry.inc(
-            "repro_invalidation_fallbacks_total", reason=report.reason
-        )
-    for what, reused, recomputed in (
-        ("webs", report.webs_reused, report.webs_recomputed),
-        ("clusters", report.clusters_reused, report.clusters_recomputed),
-    ):
-        registry.inc(
-            "repro_invalidation_items_total", reused,
-            item=what, outcome="reused",
-        )
-        registry.inc(
-            "repro_invalidation_items_total", recomputed,
-            item=what, outcome="recomputed",
-        )
-    registry.set_gauge(
-        "repro_invalidation_fraction_reanalyzed",
-        report.fraction_reanalyzed,
-    )
 
 
 def cluster_owner_map(database) -> dict:
@@ -331,15 +302,13 @@ def fold_execution(registry: MetricsRegistry, stats,
 
 
 def unified_registry(snapshot=None, stats=None, database=None,
-                     audit=None, invalidation=None) -> MetricsRegistry:
+                     audit=None) -> MetricsRegistry:
     """Build one registry from whichever surfaces the caller has."""
     registry = MetricsRegistry()
     if snapshot is not None:
         fold_metrics_snapshot(registry, snapshot)
     if audit is not None:
         fold_audit(registry, audit)
-    if invalidation is not None:
-        fold_invalidation(registry, invalidation)
     if stats is not None:
         fold_execution(registry, stats, database)
     return registry

@@ -97,7 +97,7 @@ def compile_workload(
 ):
     """Compile + simulate one workload under full tracing.
 
-    Returns ``(records, snapshot, stats, database, invalidation)``;
+    Returns ``(records, snapshot, stats, database)``;
     ``records`` is the in-memory trace (also written to ``save_trace``
     when given).
     """
@@ -132,10 +132,9 @@ def compile_workload(
                 )
                 stats = simulator.run(workload.max_cycles)
             snapshot = scheduler.metrics_snapshot()
-            invalidation = scheduler.last_invalidation_report
     finally:
         tracer.close()
-    return tracer.records, snapshot, stats, database, invalidation
+    return tracer.records, snapshot, stats, database
 
 
 # -- report model ----------------------------------------------------------
@@ -469,15 +468,12 @@ def render_report(records, title: str = "") -> str:
     return "\n".join(out).rstrip() + "\n"
 
 
-def render_metrics(snapshot, stats, database, invalidation=None) -> str:
+def render_metrics(snapshot, stats, database) -> str:
     """The unified registry's text exposition for one compile+run."""
     from repro.obs.metrics import unified_registry
 
     registry = unified_registry(
-        snapshot=snapshot,
-        stats=stats,
-        database=database,
-        invalidation=invalidation,
+        snapshot=snapshot, stats=stats, database=database
     )
     return registry.to_text()
 
@@ -721,21 +717,19 @@ def main(argv=None) -> int:
     if args.command == "bench":
         return run_bench_command(args)
 
-    snapshot = stats = database = invalidation = None
+    snapshot = stats = database = None
     if args.from_trace:
         records = read_trace(args.from_trace)
         title = os.path.basename(args.from_trace)
     else:
         verify = args.verify or None
-        records, snapshot, stats, database, invalidation = (
-            compile_workload(
-                args.workload,
-                config=args.config,
-                opt_level=args.opt_level,
-                jobs=args.jobs,
-                save_trace=args.save_trace,
-                verify=verify,
-            )
+        records, snapshot, stats, database = compile_workload(
+            args.workload,
+            config=args.config,
+            opt_level=args.opt_level,
+            jobs=args.jobs,
+            save_trace=args.save_trace,
+            verify=verify,
         )
         title = (
             f"{args.workload}, config {args.config.upper()},"
@@ -776,10 +770,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "metrics":
-        print(
-            render_metrics(snapshot, stats, database, invalidation),
-            end="",
-        )
+        print(render_metrics(snapshot, stats, database), end="")
         return 0
 
     if args.command == "proc":

@@ -236,15 +236,6 @@ def activate(tracer):
         _CURRENT.reset(token)
 
 
-@contextmanager
-def suppressed():
-    """Silence the ambient tracer (used by the incremental engine's
-    shadow cross-check, whose from-scratch reference analysis must not
-    double-emit provenance events)."""
-    with activate(NULL_TRACER):
-        yield
-
-
 # -- reading and canonicalization -----------------------------------------
 
 

@@ -1,13 +1,13 @@
 """Compile service: a long-lived multi-session daemon over the
-scheduler and incremental engine.
+compilation scheduler.
 
 The paper's separate-compilation design — modules recompiled
 independently against a persistent program database — is exactly the
 shape of a compile server.  This package serves it: many concurrent
 edit/compile sessions over a newline-JSON protocol (unix socket +
-TCP), each with private incremental-analysis state, all deduping
-phase-1/phase-2 work through one shared sharded artifact cache, with
-prometheus metrics at ``/metrics``.  See ``docs/SERVICE.md``.
+TCP), each with its own scheduler, all deduping phase-1/phase-2 work
+through one shared sharded artifact cache, with prometheus metrics at
+``/metrics``.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.client import ServiceClient, ServiceError

@@ -49,11 +49,11 @@ def record_request(registry: MetricsRegistry, operation: str,
 def fold_compile_delta(registry: MetricsRegistry, delta) -> None:
     """Fold one compile's :class:`MetricsSnapshot` difference.
 
-    Only the per-scheduler families are folded (stage seconds, stage
-    tasks, incremental analyze counters): the ``cache_*`` families in a
-    per-compile delta are deltas of the *shared* cache's counters and
-    would double-count concurrent sessions' traffic; the shared cache
-    is exported once, as totals, by :func:`fold_service_state`.
+    Only the per-scheduler families are folded (stage seconds and stage
+    tasks): the ``cache_*`` families in a per-compile delta are deltas
+    of the *shared* cache's counters and would double-count concurrent
+    sessions' traffic; the shared cache is exported once, as totals, by
+    :func:`fold_service_state`.
 
     Each stage's wall-clock additionally lands in the per-phase
     latency histogram ``repro_service_phase_seconds`` (one observation
@@ -72,10 +72,6 @@ def fold_compile_delta(registry: MetricsRegistry, delta) -> None:
     for stage, count in delta.stage_tasks.items():
         registry.inc(
             "repro_service_stage_tasks_total", count, stage=stage
-        )
-    for counter, count in delta.analyze.items():
-        registry.inc(
-            "repro_service_analyze_total", count, counter=counter
         )
 
 
@@ -157,7 +153,6 @@ def session_stats(session) -> dict:
         "last_fingerprint": session.last_fingerprint,
         "stage_seconds": dict(snapshot.stage_seconds),
         "stage_tasks": dict(snapshot.stage_tasks),
-        "analyze": dict(snapshot.analyze),
     }
 
 

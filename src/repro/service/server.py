@@ -6,9 +6,10 @@ sessions over the newline-JSON protocol of
 subsystems:
 
 * each session owns a serial
-  :class:`~repro.driver.scheduler.CompilationScheduler` with its own
-  :class:`~repro.incremental.engine.IncrementalAnalyzer`, so an
-  edit-recompile loop re-analyzes only the dirty region — the paper's
+  :class:`~repro.driver.scheduler.CompilationScheduler`; an
+  edit-recompile loop re-runs phase 1 only for the edited modules,
+  phase 2 only for modules whose directives moved, and the
+  whole-program analyzer in between — the paper's
   separate-compilation story as a service;
 * every session's scheduler compiles against **one shared**
   :class:`~repro.driver.cache.ArtifactCache`, sharded by key prefix
@@ -27,7 +28,7 @@ Concurrency discipline, in one paragraph: the event loop owns all
 mutable service state (sessions table, registry, counters).  A compile
 job receives an immutable snapshot of its session's sources, runs in a
 worker thread under the session's lock (so one session's compiles are
-serialized and its scheduler/incremental state is single-threaded),
+serialized and its scheduler state is single-threaded),
 and only its *result* crosses back to the loop.  The shared cache is
 the one object touched from many threads; its writes are atomic
 (tempfile + rename) and content-addressed, so racing sessions can only
@@ -544,7 +545,6 @@ class CompileService:
             scheduler=CompilationScheduler(
                 jobs=1,
                 cache=self.cache,
-                incremental=True,
                 verify=False,
                 allocator=params.get("allocator"),
             ),
@@ -671,7 +671,8 @@ class CompileService:
                 "phase1_cached": modules - phase1_compiled,
                 "phase2_compiled": phase2_compiled,
                 "phase2_cached": modules - phase2_compiled,
-                "analyze": dict(delta.analyze),
+                # Always empty; kept so clients that read it still work.
+                "analyze": {},
                 "stage_seconds": dict(delta.stage_seconds),
                 "seconds": seconds,
                 "queue_seconds": queue_seconds,

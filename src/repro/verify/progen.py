@@ -247,10 +247,10 @@ class FuzzProgramGenerator(ProgramGenerator):
         """One seeded edit of ``sources``: same (seed, step, sources)
         always yields the same mutated program.
 
-        Draws one of the edit kinds the incremental analyzer must
-        survive — edit a function body, add or remove a call edge, take
-        a procedure's address (which also adds an indirect call site),
-        or reference a previously-untouched global.  Mutants are valid,
+        Draws one of the edit kinds of an editing session — edit a
+        function body, add or remove a call edge, take a procedure's
+        address (which also adds an indirect call site), or reference a
+        previously-untouched global.  Mutants are valid,
         analyzable, linkable programs, but call-edge additions may
         create runtime recursion: mutants are meant to be *analyzed and
         built*, not executed.

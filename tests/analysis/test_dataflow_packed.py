@@ -4,7 +4,7 @@ The bit-packed kernels (``REPRO_DATAFLOW=packed``, the default) must be
 *byte-identical* to the set-based reference implementations: same
 ``ProgramDatabase`` JSON for every workload and analyzer configuration,
 and therefore the same executables.  Nothing here tolerates "equivalent
-but reordered" — the incremental analyzer's cache keys and the paper's
+but reordered" — the phase-2 cache keys and the paper's
 recompilation-avoidance story both hang on exact database bytes.
 
 Covers the seven Table-3 workloads across configurations A–F (profiled

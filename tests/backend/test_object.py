@@ -1,10 +1,10 @@
 """Object emission tests: layout, fallthrough, branch resolution."""
 
 from repro.analyzer.database import default_directives
+from repro.backend.allocators.paper import allocate_function
 from repro.backend.finalize import finalize_frame
 from repro.backend.isel import select_function
 from repro.backend.object import emit_function
-from repro.backend.regalloc import allocate_function
 from repro.ir import lower_source
 from repro.opt import optimize_module
 from repro.target import isa

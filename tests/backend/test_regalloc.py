@@ -1,9 +1,9 @@
 """Register allocator tests."""
 
 from repro.analyzer.database import ProcedureDirectives, default_directives
+from repro.backend.allocators.paper import allocate_function
 from repro.backend.finalize import finalize_frame
 from repro.backend.isel import select_function
-from repro.backend.regalloc import allocate_function
 from repro.ir import lower_source
 from repro.opt import optimize_module
 from repro.target import isa

@@ -45,27 +45,9 @@ def test_metrics_surface_on_compilation_result():
     assert set(payload) == {
         "jobs", "stage_seconds", "stage_tasks",
         "cache_hits", "cache_misses", "cache_bad_entries",
-        "cache_evictions", "audit", "analyze",
+        "cache_evictions", "audit",
     }
     assert payload["audit"] == {}  # auditing was off for this compile
-    assert payload["analyze"] == {}  # and so was incremental analysis
-
-
-def test_metrics_track_analyze_counters():
-    """MetricsSnapshot.minus diffs the analyze counters the same way it
-    diffs cache counters, and to_json_dict carries them."""
-    before = MetricsSnapshot(
-        jobs=1, analyze={"runs": 3, "webs_reused": 40}
-    )
-    after = MetricsSnapshot(
-        jobs=1,
-        analyze={"runs": 5, "webs_reused": 55, "incremental": 2},
-    )
-    delta = after.minus(before)
-    assert delta.analyze == {
-        "runs": 2, "webs_reused": 15, "incremental": 2
-    }
-    assert delta.to_json_dict()["analyze"] == delta.analyze
 
 
 def test_minus_carries_audit_snapshot_without_sharing():
@@ -98,7 +80,6 @@ def test_snapshot_json_round_trip():
         cache_misses={"phase2": 2},
         cache_bad_entries={},
         cache_evictions={},
-        analyze={"runs": 1},
         audit={"violation_count": 0, "violations_by_check": {}},
     )
     payload = snapshot.to_json_dict()
@@ -182,6 +163,13 @@ def test_rejects_bad_job_counts():
         CompilationScheduler(jobs=0)
     with pytest.raises(ValueError):
         CompilationScheduler(jobs=-2)
+
+
+def test_incremental_keyword_accepts_only_false():
+    with CompilationScheduler(incremental=False):
+        pass
+    with pytest.raises(ValueError, match="incremental analyzer was removed"):
+        CompilationScheduler(incremental=True)
 
 
 @pytest.mark.slow

@@ -76,7 +76,7 @@ def test_fresh_report_without_previous_file(bench_conftest, tmp_path):
     # Sections nothing measured still exist, empty, so consumers can
     # index unconditionally.
     assert on_disk["workloads"] == {}
-    assert on_disk["incremental_session"] == {}
+    assert on_disk["scalability"] == {}
 
 
 def test_corrupt_previous_report_is_replaced(bench_conftest, tmp_path):

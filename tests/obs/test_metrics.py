@@ -95,7 +95,6 @@ def test_fold_metrics_snapshot():
         cache_misses={"phase2": 1},
         cache_bad_entries={},
         cache_evictions={},
-        analyze={"webs_recomputed": 4},
         audit={"functions_checked": 7, "calls_checked": 9,
                "violation_count": 0},
     )
@@ -112,9 +111,6 @@ def test_fold_metrics_snapshot():
     assert registry.value(
         "repro_cache_events_total", stage="phase2", outcome="misses"
     ) == 1
-    assert registry.value(
-        "repro_analyze_total", counter="webs_recomputed"
-    ) == 4
     assert registry.value("repro_audit_functions_checked") == 7
     assert registry.value("repro_audit_violations") == 0
 
@@ -208,7 +204,6 @@ def test_unified_registry_composes_all_surfaces():
         cache_misses={},
         cache_bad_entries={},
         cache_evictions={},
-        analyze={},
         audit={},
     )
     stats = ExecutionStats()

@@ -13,7 +13,6 @@ from repro.obs.tracer import (
     canonicalize_trace,
     current_tracer,
     read_trace,
-    suppressed,
 )
 
 
@@ -110,12 +109,14 @@ def test_ambient_activation_and_suppression():
     tracer = Tracer()
     with activate(tracer):
         assert current_tracer() is tracer
-        with suppressed():
+        # A nested activation of the null tracer silences the outer one
+        # and hands it back on exit.
+        with activate(NULL_TRACER):
             assert current_tracer() is NULL_TRACER
             current_tracer().event("dropped", x=1)
         assert current_tracer() is tracer
     assert current_tracer() is NULL_TRACER
-    assert tracer.records == []  # the suppressed event never landed
+    assert tracer.records == []  # the silenced event never landed
 
 
 def test_null_tracer_is_inert():

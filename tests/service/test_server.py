@@ -37,7 +37,7 @@ int accumulate(int x) {
 
 
 def serial_fingerprint(sources, config="C", opt_level=2) -> str:
-    """The oracle: a fresh, serial, uncached, non-incremental compile."""
+    """The oracle: a fresh, serial, uncached compile."""
     with CompilationScheduler(jobs=1) as scheduler:
         options = (
             AnalyzerOptions.config(config) if config is not None else None
@@ -74,10 +74,9 @@ class TestLifecycle:
         client.compile(session)
         again = client.compile(session)
         # Unchanged sources: every phase-1/phase-2 artifact comes from
-        # the shared cache and the analyzer run is incremental.
+        # the shared cache.
         assert again["phase1_compiled"] == 0
         assert again["phase2_compiled"] == 0
-        assert again["analyze"].get("incremental") == 1
         client.close_session(session)
 
     def test_edit_recompiles_only_dirty_module(self, client):
