@@ -1,4 +1,4 @@
-"""Analyzer throughput at scale: packed vs reference dataflow kernels.
+"""Analyzer throughput at scale: packed kernels vs the set-based oracle.
 
 The interprocedural analyzer is the piece of this system that must run
 over *whole programs* — the paper's pitch is analysis cheap enough to
@@ -6,14 +6,16 @@ rerun at every link.  This harness synthesizes optimizer-shaped programs
 (binary call trees per module, ~one file-scope global per procedure,
 cross-module calls; see ``FuzzProgramGenerator.synthesize_large``) at
 1 000 / 10 000 / 50 000 procedures and measures full ``analyze_program``
-runs (config C) under both dataflow kernels.
+runs (config C) on the shipped bit-packed kernels and, patched in
+through ``use_set_kernels``, on the set-based oracle the differential
+tests use (``tests/analysis/set_kernels.py``).
 
 Methodology: ``time.process_time`` (CPU, immune to scheduler noise),
-best of ``ROUNDS`` interleaved runs.  The reference kernel is only timed
-through 10k procedures — its per-variable whole-graph sweeps make 50k
-runs take minutes, which is the point of the packed kernels.  Database
-byte-identity between the two kernels is asserted at every scale where
-both run.  Results land in the ``scalability`` section of
+best of ``ROUNDS`` runs.  The oracle is only timed through 10k
+procedures — its per-variable whole-graph sweeps make 50k runs take
+minutes, which is the point of the packed kernels.  Database
+byte-identity between the two is asserted at every scale where both
+run.  Results land in the ``scalability`` section of
 ``BENCH_results.json``.
 
 ``REPRO_SCALE_PROCS`` (comma-separated procedure counts) restricts the
@@ -33,12 +35,13 @@ from repro.analysis.frequency import (
 from repro.analyzer.driver import AnalyzerOptions, analyze_program
 from repro.ir import lower_source
 from repro.verify.progen import FuzzProgramGenerator, generate_fuzz_program
+from tests.analysis.set_kernels import use_set_kernels
 
 from conftest import _SCALABILITY, print_table, record_note
 
 #: (procedures, modules) — modules scale so each holds ~50 procedures.
 SCALES = ((1_000, 20), (10_000, 200), (50_000, 1_000))
-REFERENCE_CEILING = 10_000  # reference kernel not timed above this
+REFERENCE_CEILING = 10_000  # oracle not timed above this
 ROUNDS = 3
 TARGET_SPEEDUP_AT_10K = 10.0
 #: CI floor for the 1k smoke run (observed ~9k procs/sec on a dev box;
@@ -54,36 +57,28 @@ def _selected_scales():
     return tuple(s for s in SCALES if s[0] in wanted)
 
 
-def _timed_analysis(summaries, mode, rounds=ROUNDS):
+def _timed_analysis(summaries, rounds=ROUNDS):
     """Best-of CPU seconds plus the database digest of one run."""
-    os.environ["REPRO_DATAFLOW"] = mode
-    try:
-        best = None
-        digest = None
-        for _ in range(rounds):
-            start = time.process_time()
-            database = analyze_program(
-                summaries, AnalyzerOptions.config("C")
-            )
-            elapsed = time.process_time() - start
-            if best is None or elapsed < best:
-                best = elapsed
-            if digest is None:
-                digest = hashlib.sha256(
-                    database.to_json().encode()
-                ).hexdigest()
-        return best, digest
-    finally:
-        os.environ.pop("REPRO_DATAFLOW", None)
+    best = None
+    digest = None
+    for _ in range(rounds):
+        start = time.process_time()
+        database = analyze_program(summaries, AnalyzerOptions.config("C"))
+        elapsed = time.process_time() - start
+        if best is None or elapsed < best:
+            best = elapsed
+        if digest is None:
+            digest = hashlib.sha256(database.to_json().encode()).hexdigest()
+    return best, digest
 
 
-def test_analyzer_scale():
+def test_analyzer_scale(monkeypatch):
     rows = []
     for procedures, modules in _selected_scales():
         summaries = FuzzProgramGenerator(0).synthesize_large(
             modules, procedures
         )
-        packed_s, packed_digest = _timed_analysis(summaries, "packed")
+        packed_s, packed_digest = _timed_analysis(summaries)
         entry = {
             "procedures": procedures,
             "modules": modules,
@@ -91,11 +86,13 @@ def test_analyzer_scale():
             "packed_procs_per_sec": procedures / packed_s,
         }
         if procedures <= REFERENCE_CEILING:
-            reference_s, reference_digest = _timed_analysis(
-                summaries, "reference", rounds=max(1, ROUNDS - 1)
-            )
+            with monkeypatch.context() as patch:
+                use_set_kernels(patch)
+                reference_s, reference_digest = _timed_analysis(
+                    summaries, rounds=max(1, ROUNDS - 1)
+                )
             assert packed_digest == reference_digest, (
-                f"{procedures} procs: database bytes diverge across kernels"
+                f"{procedures} procs: database bytes diverge from the oracle"
             )
             entry["reference_seconds"] = reference_s
             entry["reference_procs_per_sec"] = procedures / reference_s

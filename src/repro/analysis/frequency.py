@@ -15,9 +15,9 @@ The live-across-call walkers share one precomputed *function walk* — a
 per-block tuple of ``(defs, temp uses, call flags)`` triples in reverse
 program order — instead of rebuilding ``set(instruction.defs())`` and
 ``list(block.instructions)`` inside every inner loop, and one liveness
-result instead of re-solving the fixpoint per estimate.  Under the
-default ``packed`` dataflow mode (:mod:`repro.analysis.packed`) the
-walks run on integer bitmasks over a dense temp index.
+result instead of re-solving the fixpoint per estimate.  The walks
+run on integer bitmasks over a dense per-function temp index
+(:class:`_PackedWalk`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.liveness import LivenessResult, compute_ir_liveness
-from repro.analysis.packed import resolve_dataflow
 from repro.ir.function import IRFunction
 from repro.ir.instructions import (
     Call,
@@ -161,52 +160,19 @@ def estimate_caller_saves_need(
         liveness = compute_ir_liveness(function)
     if walk is None:
         walk = _function_walk(function)
-    if resolve_dataflow() == "packed":
-        masks = _PackedWalk(liveness, walk)
-        across = masks.across_user_calls()
-        peak = 0
-        for label, steps in masks.steps:
-            live = masks.live_out[label] & ~across
-            peak = max(peak, live.bit_count())
-            for defs, uses, _is_call, _is_user_call in steps:
-                live &= ~defs
-                live |= uses & ~across
-                count = live.bit_count()
-                if count > peak:
-                    peak = count
-        return peak
-    across = _temps_live_across_calls(function, liveness, walk)
+    masks = _PackedWalk(liveness, walk)
+    across = masks.across_user_calls()
     peak = 0
-    for label, steps in walk:
-        live: set[Temp] = {
-            t for t in liveness.live_out(label) if t not in across
-        }
-        peak = max(peak, len(live))
+    for label, steps in masks.steps:
+        live = masks.live_out[label] & ~across
+        peak = max(peak, live.bit_count())
         for defs, uses, _is_call, _is_user_call in steps:
-            for defined in defs:
-                live.discard(defined)
-            for used in uses:
-                if used not in across:
-                    live.add(used)
-            peak = max(peak, len(live))
+            live &= ~defs
+            live |= uses & ~across
+            count = live.bit_count()
+            if count > peak:
+                peak = count
     return peak
-
-
-def _temps_live_across_calls(
-    function: IRFunction, liveness, walk: list | None = None
-) -> set:
-    if walk is None:
-        walk = _function_walk(function)
-    across: set[Temp] = set()
-    for label, steps in walk:
-        live: set[Temp] = set(liveness.live_out(label))
-        for defs, uses, _is_call, is_user_call in steps:
-            if is_user_call:
-                across |= live.difference(defs)
-            for defined in defs:
-                live.discard(defined)
-            live.update(uses)
-    return across
 
 
 def estimate_callee_saves_need(
@@ -226,30 +192,18 @@ def estimate_callee_saves_need(
         liveness = compute_ir_liveness(function)
     if walk is None:
         walk = _function_walk(function)
-    if resolve_dataflow() == "packed":
-        masks = _PackedWalk(liveness, walk)
-        across = 0
-        for label, steps in masks.steps:
-            live = masks.live_out[label]
-            # Walk backward so "live after the call" is available at the
-            # call; every call counts here, builtins included.
-            for defs, uses, is_call, _is_user_call in steps:
-                if is_call:
-                    across |= live & ~defs
-                live &= ~defs
-                live |= uses
-        return across.bit_count()
-    live_across_calls: set[Temp] = set()
-    for label, steps in walk:
-        live: set[Temp] = set(liveness.live_out(label))
-        # Walk backward so "live after the call" is available at the call.
+    masks = _PackedWalk(liveness, walk)
+    across = 0
+    for label, steps in masks.steps:
+        live = masks.live_out[label]
+        # Walk backward so "live after the call" is available at the
+        # call; every call counts here, builtins included.
         for defs, uses, is_call, _is_user_call in steps:
             if is_call:
-                live_across_calls |= live.difference(defs)
-            for defined in defs:
-                live.discard(defined)
-            live.update(uses)
-    return len(live_across_calls)
+                across |= live & ~defs
+            live &= ~defs
+            live |= uses
+    return across.bit_count()
 
 
 class _PackedWalk:

@@ -11,11 +11,9 @@ re-queueing a block's predecessors only when its ``live_in`` actually
 changed — on an acyclic CFG every block is visited exactly once, where
 the old round-robin changed-flag sweep recomputed every block's
 ``live_out`` from scratch each global pass even when no predecessor
-changed.  Two interchangeable kernels solve the same equations (the
-``REPRO_DATAFLOW`` knob, see :mod:`repro.analysis.packed`): the
-``reference`` kernel keeps one Python ``set`` per fact, the default
-``packed`` kernel runs the whole fixpoint on integer bit vectors over a
-dense value index and converts to sets once at the end.
+changed.  The fixpoint runs on integer bit vectors over a dense value
+index (:mod:`repro.analysis.packed`) and converts to sets once at the
+end.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from repro.analysis.packed import iter_bits, resolve_dataflow
+from repro.analysis.packed import iter_bits
 
 Value = TypeVar("Value", bound=Hashable)
 
@@ -103,7 +101,6 @@ def compute_liveness(
     successors: Callable[[str], Iterable[str]],
     block_instructions: Callable[[str], list],
     is_trackable: Callable[[object], bool],
-    mode: str | None = None,
 ) -> LivenessResult:
     """Run backward liveness to a fixpoint.
 
@@ -114,7 +111,6 @@ def compute_liveness(
             terminator (each exposing ``uses()``/``defs()``).
         is_trackable: Filter for operand values to track (e.g. "is a
             Temp" or "is a virtual register").
-        mode: Kernel override; ``None`` consults ``REPRO_DATAFLOW``.
     """
     label_list = list(labels)
     succs = {label: list(successors(label)) for label in label_list}
@@ -123,63 +119,12 @@ def compute_liveness(
         for successor in succs[label]:
             preds[successor].append(label)
     order = _worklist_order(label_list, succs, preds)
-
-    if resolve_dataflow(mode) == "packed":
-        return _solve_packed(
-            label_list, succs, preds, order, block_instructions,
-            is_trackable,
-        )
-    return _solve_reference(
+    return _solve(
         label_list, succs, preds, order, block_instructions, is_trackable
     )
 
 
-def _solve_reference(
-    label_list: list,
-    succs: dict,
-    preds: dict,
-    order: list,
-    block_instructions: Callable[[str], list],
-    is_trackable: Callable[[object], bool],
-) -> LivenessResult:
-    facts: dict[str, BlockLiveness] = {}
-    for label in label_list:
-        fact = BlockLiveness()
-        # Scan backward to compute upward-exposed uses and kills.
-        for instruction in reversed(block_instructions(label)):
-            for defined in instruction.defs():
-                fact.use.discard(defined)
-                fact.define.add(defined)
-            for used in instruction.uses():
-                if is_trackable(used):
-                    fact.use.add(used)
-        facts[label] = fact
-
-    # Seeded in reverse post-order, popped LIFO: the first sweep runs
-    # successors-first, so acyclic regions converge in one visit each.
-    stack = list(order)
-    queued = set(order)
-    visits = 0
-    while stack:
-        label = stack.pop()
-        queued.discard(label)
-        visits += 1
-        fact = facts[label]
-        live_out: set = set()
-        for successor in succs[label]:
-            live_out |= facts[successor].live_in
-        live_in = fact.use | (live_out - fact.define)
-        fact.live_out = live_out
-        if live_in != fact.live_in:
-            fact.live_in = live_in
-            for predecessor in preds[label]:
-                if predecessor not in queued:
-                    queued.add(predecessor)
-                    stack.append(predecessor)
-    return LivenessResult(facts, visits)
-
-
-def _solve_packed(
+def _solve(
     label_list: list,
     succs: dict,
     preds: dict,
@@ -218,6 +163,8 @@ def _solve_packed(
 
     live_in: dict[str, int] = {label: 0 for label in label_list}
     live_out: dict[str, int] = {label: 0 for label in label_list}
+    # Seeded in reverse post-order, popped LIFO: the first sweep runs
+    # successors-first, so acyclic regions converge in one visit each.
     stack = list(order)
     queued = set(order)
     visits = 0

@@ -11,47 +11,24 @@ register-allocation literature standardizes on for exactly this reason.
 
 This module holds the shared machinery:
 
-* :func:`resolve_dataflow` — the ``REPRO_DATAFLOW`` knob selecting the
-  ``packed`` kernels (default) or the original set-based ``reference``
-  implementations, mirroring ``REPRO_SIM`` / ``REPRO_ALLOCATOR``;
 * :class:`DenseIndex` — stable item <-> bit position maps;
 * :class:`PackedGraph` — per-:class:`~repro.callgraph.graph.CallGraph`
   dense node numbering plus successor/predecessor adjacency bitmasks,
   memoized on the graph instance;
 * bit iteration / conversion helpers shared by every packed kernel.
 
-Both modes must produce *identical* results — the packed kernels mirror
-the reference control flow op for op (including web-id consumption), and
-``tests/analysis/test_dataflow_packed.py`` pins database byte-identity
-across the full workload x configuration matrix.
+Every dataflow kernel (liveness, the register-need estimates,
+L_REF/P_REF/C_REF, webs, interference, register sets) has exactly one
+implementation, on these bitmasks.  A compact set-based oracle of each
+lives in ``tests/analysis/set_kernels.py``, and the differential suite
+(``tests/analysis/test_dataflow_packed.py``) pins summary, database and
+executable bytes across the two — so the web kernels follow the
+set-based control flow op for op, web-id consumption included.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator
-
-#: Dataflow kernel implementations selectable via ``REPRO_DATAFLOW``.
-DATAFLOW_MODES = ("packed", "reference")
-DEFAULT_DATAFLOW = "packed"
-
-
-def resolve_dataflow(mode: str | None = None) -> str:
-    """Validate an explicit mode or fall back to ``REPRO_DATAFLOW``.
-
-    ``None`` consults the ``REPRO_DATAFLOW`` environment variable and
-    then the module default, so one environment knob steers every
-    dataflow kernel in the process (liveness, reference sets, webs,
-    interference, register sets).
-    """
-    name = mode or os.environ.get("REPRO_DATAFLOW") or DEFAULT_DATAFLOW
-    name = name.strip().lower()
-    if name not in DATAFLOW_MODES:
-        raise ValueError(
-            f"unknown dataflow mode {name!r}; expected one of "
-            f"{', '.join(DATAFLOW_MODES)}"
-        )
-    return name
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -73,8 +50,8 @@ class DenseIndex:
 
     Bit order follows the order items were supplied in, so building from
     a sorted iterable makes ascending-bit iteration equal to sorted-item
-    iteration — the property the packed web kernels rely on to replicate
-    the reference implementation's ``sorted(...)`` traversals.
+    iteration — the property the web kernels rely on to assign web ids
+    in sorted node order.
     """
 
     __slots__ = ("items", "index_of")
@@ -133,8 +110,8 @@ class DenseIndex:
 class PackedGraph:
     """Dense node numbering + adjacency bitmasks for one call graph.
 
-    Node bit order is ``sorted(graph.nodes)``, matching the reference
-    kernels' ``for name in sorted(graph.nodes)`` sweeps.  The instance
+    Node bit order is ``sorted(graph.nodes)``, so an ascending-bit sweep
+    is a ``for name in sorted(graph.nodes)`` sweep.  The instance
     is memoized on the graph object (topology is immutable once built;
     only node *weights* change afterwards, which nothing here reads).
     """

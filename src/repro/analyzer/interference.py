@@ -5,47 +5,28 @@ the same procedure to dedicate two registers to two different globals at
 once if colored alike.  Webs for the same variable never interfere (web
 construction makes them disjoint and merges overlaps).
 
-Under the default ``packed`` dataflow mode the adjacency is built on web
-bitmasks — one integer per call-graph node with the bit of every web
-containing it — so a node shared by ``k`` webs costs ``k`` mask unions
-instead of ``k^2/2`` pairwise set inserts.  Both kernels produce the
-same neighbor sets.
+The adjacency is built from a shared-node index, choosing per input
+between pairwise set inserts and web bitmasks — one integer per web with
+the bit of every web sharing a node with it — so a hub node shared by
+``k`` webs costs ``k`` mask unions instead of ``k^2/2`` pairwise inserts.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.analysis.packed import iter_bits, resolve_dataflow
+from repro.analysis.packed import iter_bits
 from repro.analyzer.webs import Web
 
 
 class WebInterferenceGraph:
     """Adjacency over live (non-discarded) webs."""
 
-    def __init__(self, webs: list, mode: str | None = None):
+    def __init__(self, webs: list):
         self.webs = [web for web in webs if web.is_live]
-        if resolve_dataflow(mode) == "packed":
-            self._neighbors = self._build_packed()
-        else:
-            self._neighbors = self._build_reference()
+        self._neighbors = self._build()
 
-    def _build_reference(self) -> dict:
-        neighbors: dict[int, set] = defaultdict(set)
-        by_node: dict[str, list] = defaultdict(list)
-        for web in self.webs:
-            for name in web.nodes:
-                by_node[name].append(web)
-        for sharing in by_node.values():
-            for i, web in enumerate(sharing):
-                for other in sharing[i + 1:]:
-                    if web.web_id == other.web_id:
-                        continue
-                    neighbors[web.web_id].add(other.web_id)
-                    neighbors[other.web_id].add(web.web_id)
-        return neighbors
-
-    def _build_packed(self) -> dict:
+    def _build(self) -> dict:
         # Shared-node index first (web *positions* per node), then an
         # adaptive kernel choice: when nodes are shared by few webs the
         # pairwise sweep is cheaper than big-int arithmetic, but a hub

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.dominators import DominatorTree
-from repro.analysis.packed import iter_bits, resolve_dataflow
+from repro.analysis.packed import iter_bits
 from repro.analyzer.clusters import Cluster
 from repro.callgraph.graph import CallGraph
 from repro.obs.tracer import current_tracer
@@ -107,48 +107,12 @@ def compute_register_sets(
     """
     if dominators is None:
         dominators = graph.dominator_tree()
-    web_reserved = web_reserved or {}
-
-    if resolve_dataflow() == "packed":
-        return _compute_register_sets_packed(
-            graph, clusters, dominators, web_reserved
-        )
-
-    sets: dict[str, RegisterSets] = {}
-    for name in graph.nodes:
-        reserved = set(web_reserved.get(name, ()))
-        sets[name] = RegisterSets(
-            free=set(),
-            caller=set(CALLER_SAVES),
-            callee=set(CALLEE_SAVES) - reserved,
-            mspill=set(),
-        )
-
-    roots = {cluster.root for cluster in clusters}
-    avail: dict[str, set] = {}
-
-    for cluster in _bottom_up(clusters, dominators):
-        _process_cluster(graph, cluster, roots, sets, avail, web_reserved)
-    return sets
-
-
-def _compute_register_sets_packed(
-    graph: CallGraph,
-    clusters: list,
-    dominators: DominatorTree,
-    web_reserved: dict,
-) -> dict:
-    """Bitmask mirror of Figure 6: the per-procedure FREE/CALLER/CALLEE/
-    MSPILL sets and the AVAIL intersections are single integers while
-    the clusters are processed, converted to :class:`RegisterSets` sets
-    at the end.  Control flow (cluster order, Kahn worklist, register
-    priority order, tracer events) matches the reference kernel exactly.
-    """
-    # Web-reserved registers as masks, computed once (the dict is sparse
-    # relative to the node count).
+    # The per-procedure sets and the AVAIL intersections are register
+    # bitmasks while the clusters are processed; web-reserved registers
+    # become masks once (the dict is sparse relative to the node count).
     reserved_masks = {
         name: _regs_mask(registers)
-        for name, registers in web_reserved.items()
+        for name, registers in (web_reserved or {}).items()
         if registers
     }
 
@@ -192,6 +156,8 @@ def _process_cluster_packed(
     root = cluster.root
     members = cluster.members
 
+    # Preallocation order: registers *not* in a child root's MSPILL
+    # first, so those stay available for upward motion.
     child_mspill = 0
     for name in members:
         if name in roots:
@@ -204,6 +170,9 @@ def _process_cluster_packed(
     for name in cluster.all_nodes:
         reserved_in_cluster |= reserved_masks.get(name, 0)
 
+    # Root's own callee-saves selection: take the registers *least*
+    # attractive for preallocation (end of the priority order), skipping
+    # web-reserved registers.
     selectable = [
         r for r in order if not reserved_in_cluster >> r & 1
     ]
@@ -215,9 +184,11 @@ def _process_cluster_packed(
 
     used = [0]
     visited: set = {root}
+    # Kahn worklist over the (acyclic) cluster subgraph: a member is
+    # ready once every predecessor has been processed, and among ready
+    # members the smallest name goes first.  Predecessor maps have
+    # unique keys, so counting avoids a per-node set difference.
     pending = set(members)
-    # Predecessor maps have unique keys, so counting avoids the per-node
-    # set difference allocation.
     unresolved = {
         name: sum(
             1 for p in graph.nodes[name].predecessors if p not in visited
@@ -244,6 +215,9 @@ def _process_cluster_packed(
         )
 
     root_masks[3] |= used[0]
+    # Post-pass (Figure 7): callee-saves registers the root spills that
+    # remain available at an intermediate node can serve as extra
+    # caller-saves registers there.
     for name in members:
         if name in roots:
             continue
@@ -271,6 +245,7 @@ def _preallocate_node_packed(
     node_masks = masks[name]
 
     if name in roots:
+        # A nested cluster root: move its spill code upward.
         mspill = node_masks[3]
         moved = mspill & node_avail
         used[0] |= moved
@@ -297,8 +272,13 @@ def _preallocate_node_packed(
         used[0] |= freed
         node_masks[0] |= freed
         node_masks[2] &= ~freed
+        # Strengthening: the child's FREE registers may hold values
+        # across its calls, so its in-cluster successors must not
+        # preallocate them.
         avail[name] = node_avail & ~node_masks[0]
     else:
+        # Figure 6's Get_Registers: up to ``need`` available registers
+        # in the cluster's priority order.
         need = graph.nodes[name].summary.callee_saves_needed
         taken = 0
         if need > 0:
@@ -324,159 +304,6 @@ def _bottom_up(clusters: list, dominators: DominatorTree) -> list:
         return len(dominators.dominators_of(name))
 
     return sorted(clusters, key=lambda c: (-depth(c.root), c.root))
-
-
-def _cluster_register_order(child_mspill: set) -> list:
-    """Selection order for preallocation: registers *not* in a child
-    root's MSPILL first, so those stay available for upward motion."""
-    return sorted(CALLEE_SAVES, key=lambda r: (r in child_mspill, r))
-
-
-def _process_cluster(
-    graph: CallGraph,
-    cluster: Cluster,
-    roots: set,
-    sets: dict,
-    avail: dict,
-    web_reserved: dict,
-) -> None:
-    root = cluster.root
-    members = cluster.members
-    all_nodes = cluster.all_nodes
-
-    child_mspill: set = set()
-    for name in members:
-        if name in roots:
-            child_mspill |= sets[name].mspill
-    order = _cluster_register_order(child_mspill)
-
-    reserved_in_cluster: set = set()
-    for name in all_nodes:
-        reserved_in_cluster |= set(web_reserved.get(name, ()))
-
-    # Root's own callee-saves selection: take the registers *least*
-    # attractive for preallocation (end of the priority order), skipping
-    # web-reserved registers.
-    selectable = [r for r in order if r not in reserved_in_cluster]
-    need = graph.nodes[root].summary.callee_saves_needed
-    root_sets = sets[root]
-    root_callee = set(selectable[max(0, len(selectable) - need):])
-    root_sets.callee = root_callee
-    avail[root] = set(selectable) - root_callee
-
-    used: set = set()
-    visited: set = {root}
-    # Kahn worklist over the (acyclic) cluster subgraph: a member is
-    # ready once every predecessor has been processed, and among ready
-    # members the smallest name goes first — the same order the old
-    # sort-and-rescan sweep produced, without re-scanning the whole
-    # pending set after every node.
-    pending = set(members)
-    unresolved = {
-        name: sum(
-            1 for p in graph.nodes[name].predecessors if p not in visited
-        )
-        for name in pending
-    }
-    ready = [name for name in pending if unresolved[name] == 0]
-    heapq.heapify(ready)
-    while ready:
-        name = heapq.heappop(ready)
-        _preallocate_node(
-            graph, name, roots, sets, avail, order, used, root
-        )
-        visited.add(name)
-        pending.discard(name)
-        for successor in graph.nodes[name].successors:
-            if successor in pending:
-                unresolved[successor] -= 1
-                if unresolved[successor] == 0:
-                    heapq.heappush(ready, successor)
-    if pending:  # pragma: no cover - clusters are acyclic
-        raise AssertionError(
-            f"cluster {root}: could not order members {sorted(pending)}"
-        )
-
-    root_sets.mspill |= used
-    # Post-pass (Figure 7): callee-saves registers the root spills that
-    # remain available at an intermediate node can serve as extra
-    # caller-saves registers there.
-    for name in members:
-        if name in roots:
-            continue
-        sets[name].caller |= avail[name] & root_sets.mspill
-
-
-def _preallocate_node(
-    graph: CallGraph,
-    name: str,
-    roots: set,
-    sets: dict,
-    avail: dict,
-    order: list,
-    used: set,
-    cluster_root: Optional[str] = None,
-) -> None:
-    node_avail: Optional[set] = None
-    for predecessor in graph.nodes[name].predecessors:
-        pred_avail = avail.get(predecessor, set())
-        node_avail = (
-            set(pred_avail) if node_avail is None else node_avail & pred_avail
-        )
-    node_avail = node_avail or set()
-    node_sets = sets[name]
-
-    if name in roots:
-        # A nested cluster root: move its spill code upward.
-        moved = node_sets.mspill & node_avail
-        used |= moved
-        tracer = current_tracer()
-        if tracer.enabled:
-            kept = node_sets.mspill - node_avail
-            if moved:
-                tracer.event(
-                    "mspill-migrated",
-                    node=name,
-                    cluster_root=cluster_root,
-                    registers=moved,
-                )
-            if kept:
-                tracer.event(
-                    "mspill-kept",
-                    node=name,
-                    cluster_root=cluster_root,
-                    registers=kept,
-                    reason="not-available-on-all-paths",
-                )
-        node_sets.mspill -= node_avail
-        freed = node_sets.callee & node_avail
-        used |= freed
-        node_sets.free |= freed
-        node_sets.callee -= freed
-        # Strengthening: the child's FREE registers may hold values
-        # across its calls, so its in-cluster successors must not
-        # preallocate them.
-        avail[name] = node_avail - node_sets.free
-    else:
-        need = graph.nodes[name].summary.callee_saves_needed
-        taken = _get_registers(need, node_avail, order)
-        node_sets.free |= taken
-        node_avail -= taken
-        node_sets.callee -= taken | node_avail
-        used |= taken
-        avail[name] = node_avail
-
-
-def _get_registers(count: int, available: set, order: list) -> set:
-    """Figure 6's Get_Registers: up to ``count`` registers from
-    ``available`` in the cluster's priority order."""
-    chosen: set = set()
-    for register in order:
-        if len(chosen) >= count:
-            break
-        if register in available:
-            chosen.add(register)
-    return chosen
 
 
 def check_register_set_invariants(

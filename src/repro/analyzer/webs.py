@@ -35,11 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.packed import (
-    iter_bits,
-    packed_variable_masks,
-    resolve_dataflow,
-)
+from repro.analysis.packed import iter_bits, packed_variable_masks
 from repro.callgraph.dataflow import ReferenceSets
 from repro.callgraph.graph import CallGraph
 
@@ -64,11 +60,11 @@ class Web:
 
     def entry_nodes(self, graph: CallGraph) -> frozenset:
         """Nodes of the web with no predecessor inside the web."""
-        # Webs built by the packed kernel carry their node bitmask; one
-        # mask test per member replaces a predecessor-set probe loop.
-        # The guards reject the mask when the web was produced against a
-        # different graph or its nodes were rewritten (sparse splitting
-        # builds fresh webs, so this only defends against future code).
+        # Webs built by identify_variable_webs carry their node bitmask;
+        # one mask test per member replaces a predecessor-set probe
+        # loop.  Pieces from sparse splitting carry no mask and take the
+        # set path.  The guards reject a mask produced against a
+        # different graph or whose web's nodes were rewritten.
         memo = getattr(self, "_entries_memo", None)
         if memo is not None and memo[0] == len(self.nodes):
             return memo[1]
@@ -162,60 +158,19 @@ def identify_variable_webs(
 
     Construction for different variables is independent except for the
     shared ``next_id`` counter, which :func:`identify_webs` threads
-    through the variables in sorted order.
+    through the variables in sorted order.  Webs are node bitmasks until
+    screening; node bit order is ``sorted(graph.nodes)``, so candidates
+    are seeded, and web ids consumed, in sorted node order.
     """
     options = options or WebOptions()
     if next_id is None:
         next_id = [1]
-    if resolve_dataflow() == "packed":
-        return _identify_variable_webs_packed(
-            graph, sets, variable, options, static_modules, next_id
-        )
-    variable_webs: list[Web] = []
-    for name in sorted(graph.nodes):
-        if variable not in sets.l_ref[name]:
-            continue
-        if variable in sets.p_ref[name]:
-            continue
-        if any(name in web.nodes for web in variable_webs):
-            continue
-        web = _grow_web(graph, sets, variable, {name}, next_id)
-        variable_webs = _merge_overlapping(
-            graph, sets, variable, variable_webs, web, next_id
-        )
-    _add_recursive_cycle_webs(
-        graph, sets, variable, variable_webs, next_id
-    )
-    if options.split_sparse_webs:
-        variable_webs = _split_sparse_webs(
-            graph, sets, variable, variable_webs, options, next_id
-        )
-    _screen_webs(graph, sets, variable_webs, options, static_modules or {})
-    return variable_webs
-
-
-def _identify_variable_webs_packed(
-    graph: CallGraph,
-    sets: ReferenceSets,
-    variable: str,
-    options: WebOptions,
-    static_modules: Optional[dict],
-    next_id: list,
-) -> list[Web]:
-    """Bitmask mirror of the reference construction.
-
-    Webs are node bitmasks until screening; every growth/merge step
-    follows the reference control flow call for call, so the id counter
-    advances identically and the resulting web list (ids, member sets,
-    order) is indistinguishable from the reference kernel's.  Node bit
-    order is ``sorted(graph.nodes)``, so ascending-bit sweeps
-    reproduce the reference ``sorted(...)`` traversals.
-    """
     packed, lref, pref, cref = packed_variable_masks(graph, sets)
     lref_v = lref.get(variable, 0)
     expand_v = lref_v | cref.get(variable, 0)
     webs: list = []  # (web_id, node mask, entry mask) triples
     covered = 0
+    # Candidate entry nodes: the variable in L_REF but not in P_REF.
     for i in iter_bits(lref_v & ~pref.get(variable, 0)):
         if covered >> i & 1:
             continue
@@ -225,6 +180,9 @@ def _identify_variable_webs_packed(
         covered = 0
         for entry in webs:
             covered |= entry[1]
+    # Referencing nodes on recursive cycles whose entry paths never
+    # reference the variable have it in P_REF all around the cycle:
+    # seed one web with each such strongly connected component.
     uncovered = lref_v & ~covered
     if uncovered:
         scc_masks = packed.scc_mask_of(graph)
@@ -309,8 +267,10 @@ def _grow_web_packed(
 def _merge_overlapping_packed(
     packed, expand_v: int, existing: list, new_web: tuple, next_id: list
 ) -> list:
-    """Mask mirror of :func:`_merge_overlapping` (same recursion, same
-    id consumption, same result-list order)."""
+    """Merge ``new_web`` with every existing web it overlaps and re-close
+    the union (two closed webs may together violate the entry-node
+    conditions).  The merged web may now overlap webs it previously did
+    not, hence the recursion."""
     new_mask = new_web[1]
     overlapping = [w for w in existing if w[1] & new_mask]
     remaining = [w for w in existing if not (w[1] & new_mask)]
@@ -323,116 +283,6 @@ def _merge_overlapping_packed(
     return _merge_overlapping_packed(
         packed, expand_v, remaining, merged, next_id
     )
-
-
-def _grow_web(
-    graph: CallGraph,
-    sets: ReferenceSets,
-    variable: str,
-    seeds: set,
-    next_id: list,
-) -> Web:
-    """Figure 2: expand from ``seeds`` and close over predecessors."""
-    web = Web(next_id[0], variable)
-    next_id[0] += 1
-    pending = set(seeds)
-    while True:
-        for seed in sorted(pending):
-            _expand_web(graph, sets, web, seed, variable)
-        # Nodes with both internal and external predecessors violate the
-        # entry-node conditions; pull the external predecessors in.
-        problematic_preds: set = set()
-        for name in web.nodes:
-            predecessors = set(graph.nodes[name].predecessors)
-            internal = predecessors & web.nodes
-            external = predecessors - web.nodes
-            if internal and external:
-                problematic_preds |= external
-        if not problematic_preds:
-            return web
-        pending = problematic_preds
-
-
-def _expand_web(
-    graph: CallGraph, sets: ReferenceSets, web: Web, start: str, variable: str
-) -> None:
-    """Figure 2's Expand_Web: downward closure over C_REF/L_REF."""
-    worklist = [start]
-    while worklist:
-        name = worklist.pop()
-        if name in web.nodes:
-            continue
-        web.nodes.add(name)
-        for successor in graph.successors(name):
-            if successor in web.nodes:
-                continue
-            if (
-                variable in sets.c_ref[successor]
-                or variable in sets.l_ref[successor]
-            ):
-                worklist.append(successor)
-
-
-def _merge_overlapping(
-    graph: CallGraph,
-    sets: ReferenceSets,
-    variable: str,
-    existing: list,
-    new_web: Web,
-    next_id: list,
-) -> list:
-    """Merge ``new_web`` with any existing web it overlaps, re-closing
-    the result (the union of two closed webs may violate the entry-node
-    conditions, so the closure is re-run)."""
-    overlapping = [w for w in existing if w.nodes & new_web.nodes]
-    remaining = [w for w in existing if not (w.nodes & new_web.nodes)]
-    if not overlapping:
-        return existing + [new_web]
-    seeds = set(new_web.nodes)
-    for web in overlapping:
-        seeds |= web.nodes
-    merged = _grow_web(graph, sets, variable, seeds, next_id)
-    # The merged web may now overlap webs it previously did not.
-    return _merge_overlapping(
-        graph, sets, variable, remaining, merged, next_id
-    )
-
-
-def _add_recursive_cycle_webs(
-    graph: CallGraph,
-    sets: ReferenceSets,
-    variable: str,
-    variable_webs: list,
-    next_id: list,
-) -> None:
-    """Cover referencing nodes missed because they sit in recursive
-    cycles whose entry paths never reference the variable."""
-    covered: set = set()
-    for web in variable_webs:
-        covered |= web.nodes
-    uncovered = [
-        name
-        for name in sorted(graph.nodes)
-        if variable in sets.l_ref[name] and name not in covered
-    ]
-    if not uncovered:
-        return
-    component_of: dict[str, list] = {}
-    for component in graph.strongly_connected_components():
-        for name in component:
-            component_of[name] = component
-    seen: set = set()
-    for name in uncovered:
-        if name in seen:
-            continue
-        if any(name in web.nodes for web in variable_webs):
-            continue
-        seeds = set(component_of[name])
-        seen |= seeds
-        web = _grow_web(graph, sets, variable, seeds, next_id)
-        variable_webs[:] = _merge_overlapping(
-            graph, sets, variable, variable_webs, web, next_id
-        )
 
 
 def _split_sparse_webs(
@@ -577,7 +427,7 @@ def _screen_webs(
             continue
         stamp = getattr(web, "_packed_nodes", None)
         if stamp is not None and stamp[2] == len(web.nodes):
-            # Packed-constructed web: count referencing members on the
+            # Mask-carrying web: count referencing members on the
             # bitmask instead of probing L_REF per node.
             packed, mask, _count = stamp
             lref = packed_variable_masks(graph, sets)[1]

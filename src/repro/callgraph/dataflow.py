@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.packed import DenseIndex, PackedGraph, resolve_dataflow
+from repro.analysis.packed import DenseIndex, PackedGraph
 from repro.callgraph.graph import CallGraph
 
 
@@ -38,66 +38,15 @@ class ReferenceSets:
     c_ref: dict = field(default_factory=dict)
 
 
-def compute_reference_sets(
-    graph: CallGraph, eligible: set, mode: str | None = None
-) -> ReferenceSets:
-    """Run the dataflow over ``graph`` restricted to ``eligible`` globals."""
-    if resolve_dataflow(mode) == "packed":
-        return _compute_reference_sets_packed(graph, eligible)
-    l_ref: dict[str, set] = {}
-    for name, node in graph.nodes.items():
-        l_ref[name] = {
-            g for g in node.summary.global_refs if g in eligible
-        }
+def compute_reference_sets(graph: CallGraph, eligible: set) -> ReferenceSets:
+    """Run the dataflow over ``graph`` restricted to ``eligible`` globals.
 
-    order = _reverse_postorder(graph)
-
-    # P_REF: top-down propagation.
-    p_ref: dict[str, set] = {name: set() for name in graph.nodes}
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            incoming: set = set()
-            for predecessor in graph.nodes[name].predecessors:
-                incoming |= p_ref[predecessor]
-                incoming |= l_ref[predecessor]
-            if incoming != p_ref[name]:
-                p_ref[name] = incoming
-                changed = True
-
-    # C_REF: bottom-up propagation.
-    c_ref: dict[str, set] = {name: set() for name in graph.nodes}
-    changed = True
-    while changed:
-        changed = False
-        for name in reversed(order):
-            outgoing: set = set()
-            for successor in graph.nodes[name].successors:
-                outgoing |= c_ref[successor]
-                outgoing |= l_ref[successor]
-            if outgoing != c_ref[name]:
-                c_ref[name] = outgoing
-                changed = True
-
-    return ReferenceSets(
-        l_ref={name: frozenset(values) for name, values in l_ref.items()},
-        p_ref={name: frozenset(values) for name, values in p_ref.items()},
-        c_ref={name: frozenset(values) for name, values in c_ref.items()},
-    )
-
-
-def _compute_reference_sets_packed(
-    graph: CallGraph, eligible: set
-) -> ReferenceSets:
-    """Bitmask kernel: same equations, one big-int op per edge visit.
-
-    Globals get a dense bit index; each node's three facts are single
-    integers, and the two fixpoints run on worklists (seeded in the same
-    reverse postorder the reference sweeps use, re-queueing only the
-    affected neighbours) instead of whole-graph changed-flag passes.
-    The fixpoint of a monotone union system is unique, so the resulting
-    frozensets equal the reference kernel's exactly.
+    Globals get a dense bit index and each node's three facts are single
+    integers, so an edge visit is one big-int ``|``.  The two fixpoints
+    run on worklists seeded in reverse postorder (re-queueing only the
+    affected neighbours) instead of whole-graph changed-flag passes; the
+    fixpoint of a monotone union system is unique, so the visiting order
+    changes the cost, never the sets.
     """
     packed = PackedGraph.of(graph)
     names = packed.names
@@ -191,7 +140,7 @@ def _compute_reference_sets_packed(
         c_ref={name: frozenset_of(c_mask[i]) for i, name in enumerate(names)},
     )
 
-    # Stash the variable-major transpose for the packed web kernels
+    # Stash the variable-major transpose for the web kernels
     # (they would otherwise rebuild it from the frozensets).  L_REF was
     # transposed inline above; P_REF / C_REF facts repeat heavily across
     # the nodes of a module, so those are grouped by identical mask

@@ -1,0 +1,536 @@
+"""Set-based oracle for the analyzer's dataflow kernels.
+
+``src/`` runs every dataflow kernel once, on integer bitmasks
+(:mod:`repro.analysis.packed`).  This module keeps one compact
+set-per-fact implementation of each, written the way the paper states
+the equations, as the differential suite's oracle:
+
+* backward liveness (the solver behind ``compute_liveness``);
+* the callee- and caller-saves register-need estimates phase 1 records
+  in the summary files (sections 3 and 7.6.2);
+* L_REF / P_REF / C_REF (section 4.1.2);
+* web growth, merging and recursive-cycle seeding (Figure 2);
+* web interference (section 4.1.3);
+* FREE / CALLER / CALLEE / MSPILL (Figure 6), with the historical
+  sort-and-rescan member sweep in place of the Kahn worklist.
+
+:func:`use_set_kernels` patches these in where the pipeline looks each
+kernel up, so a test runs the same ``analyze_program`` or compile on
+both sides and compares bytes.  The web code consumes web ids in the
+same order as the packed kernel; any other order renumbers the webs.
+"""
+
+from collections import defaultdict
+from typing import Callable, Optional
+
+from repro.analysis.liveness import BlockLiveness, LivenessResult
+from repro.analyzer.interference import (
+    WebInterferenceGraph as _PackedInterferenceGraph,
+)
+from repro.analyzer.regsets import RegisterSets, _bottom_up
+from repro.analyzer.webs import (
+    Web,
+    WebOptions,
+    _screen_webs,
+    _split_sparse_webs,
+)
+from repro.callgraph.dataflow import ReferenceSets, _reverse_postorder
+from repro.obs.tracer import current_tracer
+from repro.target.registers import CALLEE_SAVES, CALLER_SAVES
+
+
+def use_set_kernels(monkeypatch) -> None:
+    """Run every dataflow kernel on the set-based oracle for the rest of
+    the ``monkeypatch`` scope (a test, or a ``monkeypatch.context()``).
+
+    Liveness is patched at its solver because the phase-2 allocators
+    import ``compute_liveness`` by name; every other kernel is patched
+    at the public name its caller looks up.
+    """
+    from repro.analysis import frequency, liveness
+    from repro.analyzer import driver, webs
+
+    monkeypatch.setattr(liveness, "_solve", solve_liveness)
+    monkeypatch.setattr(
+        frequency, "estimate_callee_saves_need", estimate_callee_saves_need
+    )
+    monkeypatch.setattr(
+        frequency, "estimate_caller_saves_need", estimate_caller_saves_need
+    )
+    monkeypatch.setattr(
+        driver, "compute_reference_sets", compute_reference_sets
+    )
+    monkeypatch.setattr(webs, "identify_variable_webs", identify_variable_webs)
+    monkeypatch.setattr(driver, "WebInterferenceGraph", WebInterferenceGraph)
+    monkeypatch.setattr(driver, "compute_register_sets", compute_register_sets)
+
+
+# -- liveness -----------------------------------------------------------
+
+
+def solve_liveness(
+    label_list: list,
+    succs: dict,
+    preds: dict,
+    order: list,
+    block_instructions: Callable[[str], list],
+    is_trackable: Callable[[object], bool],
+) -> LivenessResult:
+    facts: dict[str, BlockLiveness] = {}
+    for label in label_list:
+        fact = BlockLiveness()
+        # Scan backward to compute upward-exposed uses and kills.
+        for instruction in reversed(block_instructions(label)):
+            for defined in instruction.defs():
+                fact.use.discard(defined)
+                fact.define.add(defined)
+            for used in instruction.uses():
+                if is_trackable(used):
+                    fact.use.add(used)
+        facts[label] = fact
+
+    # Seeded in reverse post-order, popped LIFO: the first sweep runs
+    # successors-first, so acyclic regions converge in one visit each.
+    stack = list(order)
+    queued = set(order)
+    visits = 0
+    while stack:
+        label = stack.pop()
+        queued.discard(label)
+        visits += 1
+        fact = facts[label]
+        live_out: set = set()
+        for successor in succs[label]:
+            live_out |= facts[successor].live_in
+        live_in = fact.use | (live_out - fact.define)
+        fact.live_out = live_out
+        if live_in != fact.live_in:
+            fact.live_in = live_in
+            for predecessor in preds[label]:
+                if predecessor not in queued:
+                    queued.add(predecessor)
+                    stack.append(predecessor)
+    return LivenessResult(facts, visits)
+
+
+# -- register-need estimates --------------------------------------------
+#
+# ``analyze_function_usage`` hands both estimators its one liveness
+# result and instruction walk (``frequency._function_walk``).
+
+
+def estimate_caller_saves_need(function, liveness, walk) -> int:
+    """Peak count of simultaneously live temps not live across a call."""
+    across = _temps_live_across_user_calls(liveness, walk)
+    peak = 0
+    for label, steps in walk:
+        live = {t for t in liveness.live_out(label) if t not in across}
+        peak = max(peak, len(live))
+        for defs, uses, _is_call, _is_user_call in steps:
+            for defined in defs:
+                live.discard(defined)
+            for used in uses:
+                if used not in across:
+                    live.add(used)
+            peak = max(peak, len(live))
+    return peak
+
+
+def _temps_live_across_user_calls(liveness, walk: list) -> set:
+    across: set = set()
+    for label, steps in walk:
+        live = set(liveness.live_out(label))
+        for defs, uses, _is_call, is_user_call in steps:
+            if is_user_call:
+                across |= live.difference(defs)
+            for defined in defs:
+                live.discard(defined)
+            live.update(uses)
+    return across
+
+
+def estimate_callee_saves_need(function, liveness, walk) -> int:
+    """Count of distinct temps live across any call, builtins included."""
+    live_across_calls: set = set()
+    for label, steps in walk:
+        live = set(liveness.live_out(label))
+        # Walk backward so "live after the call" is available at the call.
+        for defs, uses, is_call, _is_user_call in steps:
+            if is_call:
+                live_across_calls |= live.difference(defs)
+            for defined in defs:
+                live.discard(defined)
+            live.update(uses)
+    return len(live_across_calls)
+
+
+# -- L_REF / P_REF / C_REF ----------------------------------------------
+
+
+def compute_reference_sets(graph, eligible: set) -> ReferenceSets:
+    """Round-robin changed-flag sweeps over the reverse postorder."""
+    l_ref: dict[str, set] = {}
+    for name, node in graph.nodes.items():
+        l_ref[name] = {
+            g for g in node.summary.global_refs if g in eligible
+        }
+
+    order = _reverse_postorder(graph)
+
+    # P_REF: top-down propagation.
+    p_ref: dict[str, set] = {name: set() for name in graph.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for name in order:
+            incoming: set = set()
+            for predecessor in graph.nodes[name].predecessors:
+                incoming |= p_ref[predecessor]
+                incoming |= l_ref[predecessor]
+            if incoming != p_ref[name]:
+                p_ref[name] = incoming
+                changed = True
+
+    # C_REF: bottom-up propagation.
+    c_ref: dict[str, set] = {name: set() for name in graph.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for name in reversed(order):
+            outgoing: set = set()
+            for successor in graph.nodes[name].successors:
+                outgoing |= c_ref[successor]
+                outgoing |= l_ref[successor]
+            if outgoing != c_ref[name]:
+                c_ref[name] = outgoing
+                changed = True
+
+    return ReferenceSets(
+        l_ref={name: frozenset(values) for name, values in l_ref.items()},
+        p_ref={name: frozenset(values) for name, values in p_ref.items()},
+        c_ref={name: frozenset(values) for name, values in c_ref.items()},
+    )
+
+
+# -- webs (Figure 2) ----------------------------------------------------
+
+
+def identify_variable_webs(
+    graph,
+    sets: ReferenceSets,
+    variable: str,
+    options: Optional[WebOptions] = None,
+    static_modules: Optional[dict] = None,
+    next_id: Optional[list] = None,
+) -> list:
+    options = options or WebOptions()
+    if next_id is None:
+        next_id = [1]
+    variable_webs: list[Web] = []
+    for name in sorted(graph.nodes):
+        if variable not in sets.l_ref[name]:
+            continue
+        if variable in sets.p_ref[name]:
+            continue
+        if any(name in web.nodes for web in variable_webs):
+            continue
+        web = _grow_web(graph, sets, variable, {name}, next_id)
+        variable_webs = _merge_overlapping(
+            graph, sets, variable, variable_webs, web, next_id
+        )
+    _add_recursive_cycle_webs(
+        graph, sets, variable, variable_webs, next_id
+    )
+    if options.split_sparse_webs:
+        variable_webs = _split_sparse_webs(
+            graph, sets, variable, variable_webs, options, next_id
+        )
+    _screen_webs(graph, sets, variable_webs, options, static_modules or {})
+    return variable_webs
+
+
+def _grow_web(
+    graph,
+    sets: ReferenceSets,
+    variable: str,
+    seeds: set,
+    next_id: list,
+) -> Web:
+    """Figure 2: expand from ``seeds`` and close over predecessors."""
+    web = Web(next_id[0], variable)
+    next_id[0] += 1
+    pending = set(seeds)
+    while True:
+        for seed in sorted(pending):
+            _expand_web(graph, sets, web, seed, variable)
+        # Nodes with both internal and external predecessors violate the
+        # entry-node conditions; pull the external predecessors in.
+        problematic_preds: set = set()
+        for name in web.nodes:
+            predecessors = set(graph.nodes[name].predecessors)
+            internal = predecessors & web.nodes
+            external = predecessors - web.nodes
+            if internal and external:
+                problematic_preds |= external
+        if not problematic_preds:
+            return web
+        pending = problematic_preds
+
+
+def _expand_web(
+    graph, sets: ReferenceSets, web: Web, start: str, variable: str
+) -> None:
+    """Figure 2's Expand_Web: downward closure over C_REF/L_REF."""
+    worklist = [start]
+    while worklist:
+        name = worklist.pop()
+        if name in web.nodes:
+            continue
+        web.nodes.add(name)
+        for successor in graph.successors(name):
+            if successor in web.nodes:
+                continue
+            if (
+                variable in sets.c_ref[successor]
+                or variable in sets.l_ref[successor]
+            ):
+                worklist.append(successor)
+
+
+def _merge_overlapping(
+    graph,
+    sets: ReferenceSets,
+    variable: str,
+    existing: list,
+    new_web: Web,
+    next_id: list,
+) -> list:
+    """Merge ``new_web`` with any existing web it overlaps, re-closing
+    the result (the union of two closed webs may violate the entry-node
+    conditions, so the closure is re-run)."""
+    overlapping = [w for w in existing if w.nodes & new_web.nodes]
+    remaining = [w for w in existing if not (w.nodes & new_web.nodes)]
+    if not overlapping:
+        return existing + [new_web]
+    seeds = set(new_web.nodes)
+    for web in overlapping:
+        seeds |= web.nodes
+    merged = _grow_web(graph, sets, variable, seeds, next_id)
+    # The merged web may now overlap webs it previously did not.
+    return _merge_overlapping(
+        graph, sets, variable, remaining, merged, next_id
+    )
+
+
+def _add_recursive_cycle_webs(
+    graph,
+    sets: ReferenceSets,
+    variable: str,
+    variable_webs: list,
+    next_id: list,
+) -> None:
+    """Cover referencing nodes missed because they sit in recursive
+    cycles whose entry paths never reference the variable."""
+    covered: set = set()
+    for web in variable_webs:
+        covered |= web.nodes
+    uncovered = [
+        name
+        for name in sorted(graph.nodes)
+        if variable in sets.l_ref[name] and name not in covered
+    ]
+    if not uncovered:
+        return
+    component_of: dict[str, list] = {}
+    for component in graph.strongly_connected_components():
+        for name in component:
+            component_of[name] = component
+    seen: set = set()
+    for name in uncovered:
+        if name in seen:
+            continue
+        if any(name in web.nodes for web in variable_webs):
+            continue
+        seeds = set(component_of[name])
+        seen |= seeds
+        web = _grow_web(graph, sets, variable, seeds, next_id)
+        variable_webs[:] = _merge_overlapping(
+            graph, sets, variable, variable_webs, web, next_id
+        )
+
+
+# -- web interference ---------------------------------------------------
+
+
+class WebInterferenceGraph(_PackedInterferenceGraph):
+    """One pairwise set insert per pair of webs sharing a node."""
+
+    def _build(self) -> dict:
+        neighbors: dict[int, set] = defaultdict(set)
+        by_node: dict[str, list] = defaultdict(list)
+        for web in self.webs:
+            for name in web.nodes:
+                by_node[name].append(web)
+        for sharing in by_node.values():
+            for i, web in enumerate(sharing):
+                for other in sharing[i + 1:]:
+                    if web.web_id == other.web_id:
+                        continue
+                    neighbors[web.web_id].add(other.web_id)
+                    neighbors[other.web_id].add(web.web_id)
+        return neighbors
+
+
+# -- register sets (Figure 6) -------------------------------------------
+
+
+def compute_register_sets(
+    graph, clusters: list, dominators=None, web_reserved=None
+) -> dict:
+    if dominators is None:
+        dominators = graph.dominator_tree()
+    web_reserved = web_reserved or {}
+    sets: dict[str, RegisterSets] = {}
+    for name in graph.nodes:
+        reserved = set(web_reserved.get(name, ()))
+        sets[name] = RegisterSets(
+            free=set(),
+            caller=set(CALLER_SAVES),
+            callee=set(CALLEE_SAVES) - reserved,
+            mspill=set(),
+        )
+    roots = {cluster.root for cluster in clusters}
+    avail: dict[str, set] = {}
+    for cluster in _bottom_up(clusters, dominators):
+        _process_cluster(graph, cluster, roots, sets, avail, web_reserved)
+    return sets
+
+
+def _cluster_register_order(child_mspill: set) -> list:
+    """Selection order for preallocation: registers *not* in a child
+    root's MSPILL first, so those stay available for upward motion."""
+    return sorted(CALLEE_SAVES, key=lambda r: (r in child_mspill, r))
+
+
+def _process_cluster(graph, cluster, roots: set, sets: dict, avail: dict,
+                     web_reserved: dict) -> None:
+    root = cluster.root
+    members = cluster.members
+
+    child_mspill: set = set()
+    for name in members:
+        if name in roots:
+            child_mspill |= sets[name].mspill
+    order = _cluster_register_order(child_mspill)
+
+    reserved_in_cluster: set = set()
+    for name in cluster.all_nodes:
+        reserved_in_cluster |= set(web_reserved.get(name, ()))
+
+    # Root's own callee-saves selection: take the registers *least*
+    # attractive for preallocation (end of the priority order), skipping
+    # web-reserved registers.
+    selectable = [r for r in order if r not in reserved_in_cluster]
+    need = graph.nodes[root].summary.callee_saves_needed
+    root_sets = sets[root]
+    root_callee = set(selectable[max(0, len(selectable) - need):])
+    root_sets.callee = root_callee
+    avail[root] = set(selectable) - root_callee
+
+    # Members in dependency order: re-sort the pending set and take the
+    # first member whose predecessors have all been processed.
+    used: set = set()
+    visited = {root}
+    pending = set(members)
+    while pending:
+        for name in sorted(pending):
+            if set(graph.nodes[name].predecessors) <= visited:
+                break
+        else:
+            raise AssertionError(
+                f"cluster {root}: could not order members {pending}"
+            )
+        _preallocate_node(graph, name, roots, sets, avail, order, used, root)
+        visited.add(name)
+        pending.discard(name)
+
+    root_sets.mspill |= used
+    # Post-pass (Figure 7): callee-saves registers the root spills that
+    # remain available at an intermediate node can serve as extra
+    # caller-saves registers there.
+    for name in members:
+        if name in roots:
+            continue
+        sets[name].caller |= avail[name] & root_sets.mspill
+
+
+def _preallocate_node(
+    graph,
+    name: str,
+    roots: set,
+    sets: dict,
+    avail: dict,
+    order: list,
+    used: set,
+    cluster_root: Optional[str] = None,
+) -> None:
+    node_avail: Optional[set] = None
+    for predecessor in graph.nodes[name].predecessors:
+        pred_avail = avail.get(predecessor, set())
+        node_avail = (
+            set(pred_avail) if node_avail is None else node_avail & pred_avail
+        )
+    node_avail = node_avail or set()
+    node_sets = sets[name]
+
+    if name in roots:
+        # A nested cluster root: move its spill code upward.
+        moved = node_sets.mspill & node_avail
+        used |= moved
+        tracer = current_tracer()
+        if tracer.enabled:
+            kept = node_sets.mspill - node_avail
+            if moved:
+                tracer.event(
+                    "mspill-migrated",
+                    node=name,
+                    cluster_root=cluster_root,
+                    registers=moved,
+                )
+            if kept:
+                tracer.event(
+                    "mspill-kept",
+                    node=name,
+                    cluster_root=cluster_root,
+                    registers=kept,
+                    reason="not-available-on-all-paths",
+                )
+        node_sets.mspill -= node_avail
+        freed = node_sets.callee & node_avail
+        used |= freed
+        node_sets.free |= freed
+        node_sets.callee -= freed
+        # Strengthening: the child's FREE registers may hold values
+        # across its calls, so its in-cluster successors must not
+        # preallocate them.
+        avail[name] = node_avail - node_sets.free
+    else:
+        need = graph.nodes[name].summary.callee_saves_needed
+        taken = _get_registers(need, node_avail, order)
+        node_sets.free |= taken
+        node_avail -= taken
+        node_sets.callee -= taken | node_avail
+        used |= taken
+        avail[name] = node_avail
+
+
+def _get_registers(count: int, available: set, order: list) -> set:
+    """Figure 6's Get_Registers: up to ``count`` registers from
+    ``available`` in the cluster's priority order."""
+    chosen: set = set()
+    for register in order:
+        if len(chosen) >= count:
+            break
+        if register in available:
+            chosen.add(register)
+    return chosen

@@ -1,15 +1,19 @@
 """Differential oracle for the packed dataflow kernels.
 
-The bit-packed kernels (``REPRO_DATAFLOW=packed``, the default) must be
-*byte-identical* to the set-based reference implementations: same
-``ProgramDatabase`` JSON for every workload and analyzer configuration,
-and therefore the same executables.  Nothing here tolerates "equivalent
-but reordered" — the phase-2 cache keys and the paper's
+Every dataflow kernel in ``src/`` runs on bitmasks; ``set_kernels`` in
+this directory keeps the set-based oracle.  The two must be
+*byte-identical*: same phase-1 summaries, same ``ProgramDatabase`` JSON
+and web census for every workload and analyzer configuration, and
+therefore the same executables.  Nothing here tolerates "equivalent but
+reordered" — the phase-2 cache keys and the paper's
 recompilation-avoidance story both hang on exact database bytes.
 
-Covers the seven Table-3 workloads across configurations A–F (profiled
-configs included), ten fuzz-generator programs, executable fingerprints
-for two workloads, and the ``REPRO_DATAFLOW`` knob itself.
+Covers phase 1 for the seven Table-3 workloads and ten fuzz-generator
+programs, the analyzer over the workloads × configurations A–F
+(profiled configs included) and the fuzz programs × A, C, D, E, and
+executable fingerprints for two workloads.  The phase-1 and executable
+comparisons build each side on its own uncached scheduler, so neither
+side can be served the other's artifacts.
 """
 
 import pytest
@@ -20,16 +24,12 @@ from repro import (
     collect_profile,
     run_phase1,
 )
-from repro.analysis.packed import (
-    DATAFLOW_MODES,
-    DEFAULT_DATAFLOW,
-    DenseIndex,
-    resolve_dataflow,
-)
+from repro.analysis.packed import DenseIndex
 from repro.analyzer.driver import analyze_program
 from repro.linker.link import executable_fingerprint
 from repro.verify.progen import generate_fuzz_program
 from repro.workloads import all_workloads
+from tests.analysis.set_kernels import use_set_kernels
 
 FAST_WORKLOADS = ("dhrystone", "fgrep", "protoc")
 SLOW_WORKLOADS = ("othello", "war", "crtool", "paopt")
@@ -37,6 +37,15 @@ CONFIGS = ("A", "B", "C", "D", "E", "F")
 PROFILE_CONFIGS = frozenset("BF")
 FUZZ_SEEDS = range(10)
 FUZZ_CONFIGS = ("A", "C", "D", "E")
+
+
+def _both_kernels(monkeypatch, run):
+    """``(packed, oracle)``: ``run()`` as shipped, then on the oracle."""
+    packed = run()
+    with monkeypatch.context() as patch:
+        use_set_kernels(patch)
+        oracle = run()
+    return packed, oracle
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +59,8 @@ def scheduler(tmp_path_factory):
 @pytest.fixture(scope="module")
 def workload_state(scheduler):
     """Per-workload phase-1 results / summaries / profile, computed once
-    (phase 1 and the profiling run are mode-independent)."""
+    on the packed kernels: the analyzer tests feed both sides the same
+    summaries (phase 1 has its own differential below)."""
     cache: dict = {}
 
     def state(name: str, with_profile: bool):
@@ -75,12 +85,20 @@ def workload_state(scheduler):
     return state
 
 
-def _databases_both_modes(monkeypatch, summaries, options):
-    payloads = {}
-    for mode in DATAFLOW_MODES:
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
-        payloads[mode] = analyze_program(summaries, options).to_json()
-    return payloads
+def _assert_databases_identical(monkeypatch, summaries, options, label):
+    packed, oracle = _both_kernels(
+        monkeypatch, lambda: analyze_program(summaries, options)
+    )
+    assert packed.to_json() == oracle.to_json(), (
+        f"{label}: database bytes diverge"
+    )
+    # to_json() carries the directives only; the web census, clusters
+    # and statistics must agree too (web ids included).
+    assert packed.webs == oracle.webs, f"{label}: web census diverges"
+    assert packed.clusters == oracle.clusters, f"{label}: clusters diverge"
+    assert packed.statistics == oracle.statistics, (
+        f"{label}: statistics diverge"
+    )
 
 
 def _assert_workload_matrix(monkeypatch, workload_state, name):
@@ -90,18 +108,16 @@ def _assert_workload_matrix(monkeypatch, workload_state, name):
         options = AnalyzerOptions.config(
             config, entry["profile"] if with_profile else None
         )
-        payloads = _databases_both_modes(
-            monkeypatch, entry["summaries"], options
-        )
-        assert payloads["packed"] == payloads["reference"], (
-            f"{name} config {config}: database bytes diverge"
+        _assert_databases_identical(
+            monkeypatch, entry["summaries"], options,
+            f"{name} config {config}",
         )
 
 
 @pytest.mark.parametrize("name", FAST_WORKLOADS)
 def test_workload_databases_identical(monkeypatch, workload_state, name):
-    """Every workload × config A–F: packed and reference kernels emit
-    byte-identical program databases."""
+    """Every workload × config A–F: packed and oracle kernels emit
+    byte-identical program databases and web censuses."""
     _assert_workload_matrix(monkeypatch, workload_state, name)
 
 
@@ -115,7 +131,7 @@ def test_workload_databases_identical_slow(
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_databases_identical(monkeypatch, scheduler, seed):
-    """Generated programs: both kernels agree on every non-profile
+    """Generated programs: both kernel sets agree on every non-profile
     configuration."""
     sources = generate_fuzz_program(seed)
     summaries = [
@@ -123,43 +139,57 @@ def test_fuzz_databases_identical(monkeypatch, scheduler, seed):
         for result in run_phase1(sources, scheduler=scheduler)
     ]
     for config in FUZZ_CONFIGS:
-        options = AnalyzerOptions.config(config)
-        payloads = _databases_both_modes(monkeypatch, summaries, options)
-        assert payloads["packed"] == payloads["reference"], (
-            f"fuzz seed {seed} config {config}: database bytes diverge"
+        _assert_databases_identical(
+            monkeypatch, summaries, AnalyzerOptions.config(config),
+            f"fuzz seed {seed} config {config}",
         )
+
+
+def _phase1_summaries(sources) -> list:
+    with CompilationScheduler(jobs=1) as uncached:
+        return [
+            result.summary.to_json()
+            for result in run_phase1(sources, scheduler=uncached)
+        ]
+
+
+@pytest.mark.parametrize(
+    "program",
+    list(all_workloads()) + [f"fuzz{seed}" for seed in FUZZ_SEEDS],
+)
+def test_phase1_summaries_identical(monkeypatch, program):
+    """Phase 1 under each kernel set: liveness (DCE) and the two
+    register-need estimates land in identical summary files."""
+    if program.startswith("fuzz"):
+        sources = generate_fuzz_program(int(program[len("fuzz"):]))
+    else:
+        sources = all_workloads()[program].sources
+    packed, oracle = _both_kernels(
+        monkeypatch, lambda: _phase1_summaries(sources)
+    )
+    assert packed == oracle
 
 
 @pytest.mark.parametrize("name", ("dhrystone", "othello"))
-def test_executables_identical(monkeypatch, scheduler, workload_state,
-                               name):
-    """Identical databases imply identical executables: the full config-C
-    build fingerprints match across kernels."""
-    entry = workload_state(name, False)
-    fingerprints = {}
-    for mode in DATAFLOW_MODES:
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
-        database = analyze_program(
-            entry["summaries"], AnalyzerOptions.config("C")
-        )
-        executable = scheduler.compile_with_database(
-            entry["phase1"], database
-        )
-        fingerprints[mode] = executable_fingerprint(executable)
-    assert fingerprints["packed"] == fingerprints["reference"]
+def test_executables_identical(monkeypatch, name):
+    """The full config-C build, phase 1 through link, fingerprints the
+    same on both kernel sets.  Each side compiles on a fresh uncached
+    scheduler, so the oracle's liveness runs in both phases."""
+    sources = all_workloads()[name].sources
 
+    def build() -> str:
+        with CompilationScheduler(jobs=1) as uncached:
+            phase1 = run_phase1(sources, scheduler=uncached)
+            database = analyze_program(
+                [result.summary for result in phase1],
+                AnalyzerOptions.config("C"),
+            )
+            return executable_fingerprint(
+                uncached.compile_with_database(phase1, database)
+            )
 
-def test_resolve_dataflow_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_DATAFLOW", raising=False)
-    assert resolve_dataflow() == DEFAULT_DATAFLOW == "packed"
-    assert resolve_dataflow("reference") == "reference"
-    assert resolve_dataflow("  Packed ") == "packed"
-    monkeypatch.setenv("REPRO_DATAFLOW", "reference")
-    assert resolve_dataflow() == "reference"
-    assert resolve_dataflow("packed") == "packed"  # explicit mode wins
-    monkeypatch.setenv("REPRO_DATAFLOW", "vectorized")
-    with pytest.raises(ValueError, match="unknown dataflow mode"):
-        resolve_dataflow()
+    packed, oracle = _both_kernels(monkeypatch, build)
+    assert packed == oracle
 
 
 def test_dense_index_round_trip():

@@ -7,6 +7,7 @@ from repro.analysis.frequency import (
 )
 from repro.ir import lower_source
 from repro.opt import optimize_module
+from tests.analysis.set_kernels import use_set_kernels
 
 
 def usage_of(source, name="f", opt_level=0):
@@ -136,7 +137,8 @@ def test_single_liveness_solve_per_function(monkeypatch):
 
 
 def test_estimates_identical_across_kernels(monkeypatch):
-    """Packed bitmask peaks equal the reference set-cardinality peaks."""
+    """Packed bitmask peaks equal the set-based oracle's cardinality
+    peaks."""
     source = """
         int g;
         int h;
@@ -150,15 +152,20 @@ def test_estimates_identical_across_kernels(monkeypatch):
         }
         int other(int x) { return x * 2; }
     """
-    results = {}
-    for mode in ("packed", "reference"):
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
-        module = lower_source(source, "m")
-        usage = analyze_function_usage(module.functions["f"])
-        results[mode] = (
+
+    def estimates():
+        usage = analyze_function_usage(
+            lower_source(source, "m").functions["f"]
+        )
+        return (
             usage.callee_saves_needed,
             usage.caller_saves_needed,
             dict(usage.global_refs),
         )
-    assert results["packed"] == results["reference"]
-    assert results["packed"][1] > 0  # values do live across those calls
+
+    packed = estimates()
+    with monkeypatch.context() as patch:
+        use_set_kernels(patch)
+        oracle = estimates()
+    assert packed == oracle
+    assert packed[1] > 0  # values do live across those calls

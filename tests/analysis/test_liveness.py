@@ -5,6 +5,7 @@ from repro.ir import lower_source
 from repro.ir.function import IRFunction
 from repro.ir.instructions import BinOp, CJump, Jump, Move, Return, Call
 from repro.ir.values import Const
+from tests.analysis.set_kernels import use_set_kernels
 
 
 def test_straightline_liveness():
@@ -107,30 +108,41 @@ def _diamond_function():
     return func, value
 
 
+def _on_both_solvers(monkeypatch, check):
+    """``check("packed")``, then ``check("oracle")`` on the set-based
+    solver."""
+    check("packed")
+    with monkeypatch.context() as patch:
+        use_set_kernels(patch)
+        check("oracle")
+
+
 def test_diamond_converges_in_one_visit_per_block(monkeypatch):
     """Regression for the worklist seeding order: a backward solver
     seeded in reverse post-order and popped LIFO sweeps successors
     first, so an acyclic diamond must converge in exactly one worklist
     pop per block — re-visits mean the seed order regressed to the old
     every-pass-over-every-block scheme."""
-    for mode in ("packed", "reference"):
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
+
+    def check(side):
         func, value = _diamond_function()
         result = compute_ir_liveness(func)
-        assert result.block_visits == len(func.blocks) == 4, mode
+        assert result.block_visits == len(func.blocks) == 4, side
         # And the facts themselves: v flows through both arms.
         for label in ("left", "right"):
             block = next(l for l in func.blocks if label in l)
-            assert value in result.live_out(block), mode
+            assert value in result.live_out(block), side
+
+    _on_both_solvers(monkeypatch, check)
 
 
 def test_loop_requires_revisits_but_terminates(monkeypatch):
-    """A back edge needs at least one re-visit (visits > blocks) and the
-    count is identical across kernels — the packed solver mirrors the
-    reference worklist pop for pop."""
-    visits = {}
-    for mode in ("packed", "reference"):
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
+    """A back edge needs at least one re-visit (visits > blocks), and
+    the packed solver matches the set-based oracle pop for pop and fact
+    for fact."""
+    results = {}
+
+    def check(side):
         module = lower_source(
             """
             int f(int n) {
@@ -144,6 +156,17 @@ def test_loop_requires_revisits_but_terminates(monkeypatch):
         )
         func = module.functions["f"]
         result = compute_ir_liveness(func)
-        assert result.block_visits > len(func.blocks), mode
-        visits[mode] = result.block_visits
-    assert visits["packed"] == visits["reference"]
+        assert result.block_visits > len(func.blocks), side
+        results[side] = (
+            result.block_visits,
+            {
+                label: (
+                    sorted(map(repr, fact.live_in)),
+                    sorted(map(repr, fact.live_out)),
+                )
+                for label, fact in result.blocks.items()
+            },
+        )
+
+    _on_both_solvers(monkeypatch, check)
+    assert results["packed"] == results["oracle"]

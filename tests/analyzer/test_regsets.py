@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analyzer import regsets
 from repro.analyzer.clusters import identify_clusters
 from repro.analyzer.regsets import (
     RegisterSets,
@@ -13,6 +12,7 @@ from repro.analyzer.regsets import (
     compute_register_sets,
 )
 from repro.target.registers import CALLEE_SAVES, CALLER_SAVES
+from tests.analysis import set_kernels
 from tests.support import build_graph
 
 
@@ -301,84 +301,11 @@ def test_invariant_rejects_web_reserved_in_any_set():
 
 # -- worklist rewrite equivalence ---------------------------------------
 #
-# _process_cluster orders members with a Kahn worklist; the original
-# implementation re-sorted and re-scanned the whole pending set after
-# every node.  The reference below reproduces that historical sweep
-# verbatim so the suite can assert the rewrite is a pure strength
-# reduction: identical RegisterSets, node for node.
-
-
-def _reference_process_cluster(graph, cluster, roots, sets, avail,
-                               web_reserved):
-    root = cluster.root
-    members = cluster.members
-
-    child_mspill = set()
-    for name in members:
-        if name in roots:
-            child_mspill |= sets[name].mspill
-    order = regsets._cluster_register_order(child_mspill)
-
-    reserved_in_cluster = set()
-    for name in cluster.all_nodes:
-        reserved_in_cluster |= set(web_reserved.get(name, ()))
-
-    selectable = [r for r in order if r not in reserved_in_cluster]
-    need = graph.nodes[root].summary.callee_saves_needed
-    root_sets = sets[root]
-    root_callee = set(selectable[max(0, len(selectable) - need):])
-    root_sets.callee = root_callee
-    avail[root] = set(selectable) - root_callee
-
-    used = set()
-    visited = {root}
-    pending = set(members)
-    while pending:
-        progressed = False
-        for name in sorted(pending):
-            predecessors = set(graph.nodes[name].predecessors)
-            if not predecessors <= visited:
-                continue
-            regsets._preallocate_node(
-                graph, name, roots, sets, avail, order, used
-            )
-            visited.add(name)
-            pending.discard(name)
-            progressed = True
-            break
-        if not progressed:
-            raise AssertionError(
-                f"cluster {root}: could not order members {pending}"
-            )
-
-    root_sets.mspill |= used
-    for name in members:
-        if name in roots:
-            continue
-        sets[name].caller |= avail[name] & root_sets.mspill
-
-
-def _reference_compute_register_sets(graph, clusters, dominators=None,
-                                     web_reserved=None):
-    if dominators is None:
-        dominators = graph.dominator_tree()
-    web_reserved = web_reserved or {}
-    sets = {}
-    for name in graph.nodes:
-        reserved = set(web_reserved.get(name, ()))
-        sets[name] = RegisterSets(
-            free=set(),
-            caller=set(CALLER_SAVES),
-            callee=set(CALLEE_SAVES) - reserved,
-            mspill=set(),
-        )
-    roots = {cluster.root for cluster in clusters}
-    avail = {}
-    for cluster in regsets._bottom_up(clusters, dominators):
-        _reference_process_cluster(
-            graph, cluster, roots, sets, avail, web_reserved
-        )
-    return sets
+# compute_register_sets orders cluster members with a Kahn worklist over
+# bitmasks; the set-based oracle keeps the original sweep, which
+# re-sorts and re-scans the whole pending set after every node.  The
+# rewrite must be a pure strength reduction: identical RegisterSets,
+# node for node.
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,7 +328,7 @@ def test_worklist_matches_reference_sweep_on_random_graphs(seed):
     dominators = graph.dominator_tree()
     clusters = identify_clusters(graph, dominators)
     new = compute_register_sets(graph, clusters, dominators, web_reserved)
-    old = _reference_compute_register_sets(
+    old = set_kernels.compute_register_sets(
         graph, clusters, dominators, web_reserved
     )
     assert new == old
@@ -421,5 +348,5 @@ def test_worklist_matches_reference_sweep_on_workloads(workload):
     clusters = identify_clusters(graph, dominators)
     assert clusters, "benchmark workloads must form clusters"
     new = compute_register_sets(graph, clusters, dominators)
-    old = _reference_compute_register_sets(graph, clusters, dominators)
+    old = set_kernels.compute_register_sets(graph, clusters, dominators)
     assert new == old

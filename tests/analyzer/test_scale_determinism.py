@@ -1,11 +1,12 @@
 """Determinism at scale: 1000 synthesized procedures, byte-pinned.
 
-The analyzer's output must be a pure function of its input — independent
-of kernel mode (``REPRO_DATAFLOW``) and of Python's per-process hash
-randomization.  Unordered-set iteration leaking into web numbering,
-cluster membership, or directive order shows up exactly here: the same
-program analyzed under two ``PYTHONHASHSEED`` values (or two kernels)
-producing different database bytes.
+The analyzer's output must be a pure function of its input — equal to
+the set-based oracle's (``tests/analysis/set_kernels.py``) and
+independent of Python's per-process hash randomization.  Unordered-set
+iteration leaking into web numbering, cluster membership, or directive
+order shows up exactly here: the same program analyzed under two
+``PYTHONHASHSEED`` values (or two kernel sets) producing different
+database bytes.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from repro.analyzer.driver import AnalyzerOptions, analyze_program
 from repro.verify.progen import FuzzProgramGenerator
+from tests.analysis.set_kernels import use_set_kernels
 
 MODULES = 20
 PROCEDURES = 1000
@@ -31,11 +33,9 @@ def _digest() -> str:
 
 
 def test_packed_matches_reference_at_1k_scale(monkeypatch):
-    digests = {}
-    for mode in ("packed", "reference"):
-        monkeypatch.setenv("REPRO_DATAFLOW", mode)
-        digests[mode] = _digest()
-    assert digests["packed"] == digests["reference"]
+    packed = _digest()
+    use_set_kernels(monkeypatch)
+    assert _digest() == packed
 
 
 _SUBPROCESS_SCRIPT = """
