@@ -60,7 +60,7 @@ def test_allocator_tournament(paper_results):
     with tempfile.TemporaryDirectory(
         prefix="repro-tournament-cache-"
     ) as cache, CompilationScheduler(
-        jobs=1, cache_dir=cache, verify=True
+        cache_dir=cache, verify=True
     ) as scheduler:
         for name, results in paper_results.items():
             max_cycles = get_workload(name).max_cycles

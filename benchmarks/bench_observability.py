@@ -89,7 +89,7 @@ _INSTRUMENTED_MODULES = (
 def _compile_once(tracer=None):
     workload = get_workload(WORKLOAD)
     with CompilationScheduler(
-        jobs=1, trace=tracer if tracer is not None else NULL_TRACER,
+        trace=tracer if tracer is not None else NULL_TRACER,
         verify=False,
     ) as scheduler:
         phase1 = scheduler.run_phase1(workload.sources)

@@ -12,7 +12,7 @@ uncached compile of the same sources.
 
 Sessions deliberately reuse seeds (pool of ~25 distinct programs), so
 the run exercises both reuse axes at once: cross-session dedupe through
-the shared sharded cache, and per-edit reuse of the unedited modules'
+the shared cache, and per-edit reuse of the unedited modules'
 phase-1/phase-2 artifacts inside a session.  Client-side request
 latencies are recorded per operation and reported as p50/p95.  Results
 land in the ``service_load`` section of ``BENCH_results.json``.
@@ -67,7 +67,7 @@ def _serial_fingerprints(seeds):
         sources, mutated = _program_pair(seed)
         pair = []
         for program in (sources, mutated):
-            with CompilationScheduler(jobs=1) as scheduler:
+            with CompilationScheduler() as scheduler:
                 result = scheduler.compile_program(
                     dict(program), 2, options
                 )
@@ -162,8 +162,6 @@ def test_service_load():
     _SERVICE_LOAD.update({
         "sessions": sessions,
         "distinct_programs": pool,
-        "workers": stats["workers"],
-        "cache_shards": stats["cache"]["shards"],
         "requests_total": stats["requests_total"],
         "compiles_total": compiles,
         "cache_hit_rate": hit_rate,
@@ -176,7 +174,7 @@ def test_service_load():
 
     print_table(
         f"Service load: {sessions} concurrent edit sessions "
-        f"({pool} distinct programs, {stats['workers']} workers)",
+        f"({pool} distinct programs, one compile thread)",
         ("request", "count", "p50 ms", "p95 ms"),
         [
             (operation, summary["count"],

@@ -7,9 +7,8 @@ benchmark modules print their table from these cached results and use
 ``benchmark`` to time a representative kernel of the stage they cover.
 
 The matrix is compiled through one shared
-:class:`~repro.driver.scheduler.CompilationScheduler` (parallel worker
-processes when the host has more than one CPU, plus a per-session
-artifact cache), so the seven analyzer configurations share every
+:class:`~repro.driver.scheduler.CompilationScheduler` with a per-session
+artifact cache, so the seven analyzer configurations share every
 phase-1 artifact and every phase-2 object module whose directives a
 configuration change left untouched.  Alongside the printed tables the
 session writes ``benchmarks/BENCH_results.json`` with the per-workload
@@ -156,12 +155,9 @@ _SERVICE_LOAD: dict = {}
 @pytest.fixture(scope="session")
 def paper_results():
     """name -> :class:`WorkloadResults` for every Table 3 workload."""
-    cpus = os.cpu_count() or 1
     results = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache:
-        with CompilationScheduler(
-            jobs=min(cpus, 8) if cpus > 1 else 1, cache_dir=cache
-        ) as scheduler:
+        with CompilationScheduler(cache_dir=cache) as scheduler:
             for name, workload in all_workloads().items():
                 results[name] = _run_workload(name, workload, scheduler)
             _SCHEDULER_METRICS.update(

@@ -275,8 +275,7 @@ def connect(args) -> None:
                     cache = stats.get("cache", {})
                     print(f"sessions={stats['sessions_open']} "
                           f"compiles={stats['compiles_total']} "
-                          f"cache_hit_rate={cache.get('hit_rate', 0):.2f} "
-                          f"shards={cache.get('shards')}")
+                          f"cache_hit_rate={cache.get('hit_rate', 0):.2f}")
                 elif command == "help":
                     print(HELP, end="")
                 elif command == "":

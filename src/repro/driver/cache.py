@@ -100,49 +100,19 @@ class ArtifactCache:
     cache instead of thrashing.  ``None`` reads the cap from the
     ``REPRO_CACHE_MAX_BYTES`` environment variable; zero or an absent
     variable means unbounded (the historical behavior).
-
-    ``shards`` splits the cache into independent LRU domains by key
-    prefix: a key lives in shard ``int(key[:8], 16) % shards``, each
-    shard keeps its own ``max_bytes`` cap, and a store only ever evicts
-    entries from its own shard.  Many concurrent compile sessions (the
-    compile service) therefore cannot thrash each other's hot entries
-    through one global LRU.  The default of one shard is byte-identical
-    to the historical single-domain layout — same paths, same eviction
-    order.  ``None`` reads ``REPRO_CACHE_SHARDS``; absent means 1.
     """
 
-    def __init__(self, root: str, max_bytes: int | None = None,
-                 shards: int | None = None):
+    def __init__(self, root: str, max_bytes: int | None = None):
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         if max_bytes is None:
             raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
             max_bytes = int(raw) if raw else 0
         self.max_bytes = max_bytes if max_bytes > 0 else None
-        if shards is None:
-            raw = os.environ.get("REPRO_CACHE_SHARDS", "").strip()
-            shards = int(raw) if raw else 1
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         self.stats = CacheStats()
 
-    def shard_of(self, key: str) -> int:
-        """The shard a key lives in (always 0 for a 1-shard cache)."""
-        if self.shards == 1:
-            return 0
-        return int(key[:8], 16) % self.shards
-
-    def _shard_root(self, key: str) -> str:
-        if self.shards == 1:
-            # Exactly the historical layout: no shard directory level,
-            # so existing caches keep working and the single-shard
-            # configuration stays byte-identical on disk.
-            return self.root
-        return os.path.join(self.root, f"shard-{self.shard_of(key):03d}")
-
     def _path(self, key: str) -> str:
-        return os.path.join(self._shard_root(key), key[:2], key + ".pkl")
+        return os.path.join(self.root, key[:2], key + ".pkl")
 
     def load(self, stage: str, key: str):
         """Return the cached object or ``None`` on any kind of miss."""
@@ -207,9 +177,7 @@ class ArtifactCache:
                 pass
             raise
         if self.max_bytes is not None:
-            self._enforce_limit(
-                stage, keep=path, root=self._shard_root(key)
-            )
+            self._enforce_limit(stage, keep=path)
 
     @staticmethod
     def _verify(blob: bytes):
@@ -225,11 +193,10 @@ class ArtifactCache:
             return None
         return payload
 
-    def _entries(self, root: str | None = None) -> list:
-        """Every entry under ``root`` as ``(last_access, path, size)``
-        (the whole cache when ``root`` is omitted)."""
+    def _entries(self) -> list:
+        """Every entry as ``(last_access, path, size)``."""
         entries = []
-        for dirpath, _dirnames, filenames in os.walk(root or self.root):
+        for dirpath, _dirnames, filenames in os.walk(self.root):
             for name in filenames:
                 if not name.endswith(".pkl"):
                     continue
@@ -242,22 +209,13 @@ class ArtifactCache:
         return entries
 
     def total_bytes(self) -> int:
-        """Current on-disk size of all entries (all shards)."""
+        """Current on-disk size of all entries."""
         return sum(size for _mtime, _path, size in self._entries())
 
-    def shard_bytes(self, shard: int) -> int:
-        """Current on-disk size of one shard's entries."""
-        if self.shards == 1:
-            return self.total_bytes()
-        root = os.path.join(self.root, f"shard-{shard:03d}")
-        return sum(size for _mtime, _path, size in self._entries(root))
-
-    def _enforce_limit(self, stage: str, keep: str, root: str) -> None:
-        """Evict least-recently-accessed entries from the shard under
-        ``root`` until it fits ``max_bytes``, sparing ``keep`` (the
-        entry the triggering store just wrote).  Eviction never crosses
-        a shard boundary: each shard is an independent LRU domain."""
-        entries = self._entries(root)
+    def _enforce_limit(self, stage: str, keep: str) -> None:
+        """Evict least-recently-accessed entries until the cache fits,
+        sparing ``keep`` (the entry the triggering store just wrote)."""
+        entries = self._entries()
         total = sum(size for _mtime, _path, size in entries)
         if total <= self.max_bytes:
             return

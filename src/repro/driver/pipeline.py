@@ -17,11 +17,9 @@ phase-1 result can feed many configurations.
 
 Every function here delegates to a
 :class:`~repro.driver.scheduler.CompilationScheduler`.  The module-level
-default is serial and uncached (bit-identical to the historical driver);
-pass ``scheduler=`` — or set ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` in the
-environment before first use — to compile modules in parallel worker
-processes and reuse cached per-module artifacts across runs.  See
-``docs/PIPELINE.md``.
+default is uncached; pass ``scheduler=`` — or set ``REPRO_CACHE_DIR`` in
+the environment before first use — to reuse cached per-module artifacts
+across runs.  See ``docs/PIPELINE.md``.
 """
 
 from __future__ import annotations
@@ -43,9 +41,8 @@ _default_scheduler = None
 def default_scheduler():
     """The process-wide scheduler behind the plain function API.
 
-    Serial and uncached unless the ``REPRO_JOBS`` (worker count; ``0``
-    means one per CPU) / ``REPRO_CACHE_DIR`` environment variables say
-    otherwise at first use; ``REPRO_VERIFY=1`` additionally runs the
+    Uncached unless the ``REPRO_CACHE_DIR`` environment variable names a
+    cache directory at first use; ``REPRO_VERIFY=1`` additionally runs the
     post-link allocation auditor (:mod:`repro.verify.auditor`) on every
     linked executable, ``REPRO_CACHE_MAX_BYTES`` caps the artifact
     cache's on-disk size, and ``REPRO_ALLOCATOR`` picks the phase-2
@@ -58,11 +55,8 @@ def default_scheduler():
 
         from repro.driver.scheduler import CompilationScheduler
 
-        jobs: Optional[int] = int(os.environ.get("REPRO_JOBS", "1"))
-        if jobs == 0:
-            jobs = None  # auto: one worker per CPU
         _default_scheduler = CompilationScheduler(
-            jobs=jobs, cache_dir=os.environ.get("REPRO_CACHE_DIR") or None
+            cache_dir=os.environ.get("REPRO_CACHE_DIR") or None
         )
     return _default_scheduler
 
@@ -133,8 +127,8 @@ def compile_program(
             allocation entirely (the level-2 baseline); otherwise the
             program analyzer runs with these options.
         scheduler: A :class:`~repro.driver.scheduler.CompilationScheduler`
-            to compile on (parallel workers, artifact cache); defaults
-            to the serial, uncached module-level one.
+            to compile on (artifact cache, tracing); defaults to the
+            uncached module-level one.
         allocator: Phase-2 allocation strategy
             (:mod:`repro.backend.allocators`: ``paper``, ``linearscan``,
             ``spill-everywhere``); ``None`` defers to the scheduler's

@@ -1,25 +1,17 @@
-"""Parallel, incremental compilation scheduler.
+"""Incremental compilation scheduler.
 
 The paper splits compilation at module boundaries on purpose: phase 1
 and phase 2 are per-module jobs that communicate only through summary
 files and the program database (sections 2 and 7.4), so nothing in the
-design forces either serial execution or whole-program recompilation.
-:class:`CompilationScheduler` exploits both freedoms:
-
-* **Parallelism** — phase-1 jobs are independent by construction and
-  run across a :class:`~concurrent.futures.ProcessPoolExecutor`; once
-  the analyzer has produced the database, phase-2 jobs are equally
-  independent and fan out the same way.  Workers are pure functions of
-  picklable inputs, so parallel results are bit-identical to serial
-  ones (asserted by ``tests/driver/test_determinism.py``).
-* **Incrementality** — a content-addressed on-disk cache
-  (:mod:`repro.driver.cache`) keyed on exactly the inputs each phase
-  depends on: source text + opt level for phase 1, (phase-1
-  fingerprint, per-module directive digest, opt level) for phase 2.
-  Editing one module re-runs phase 1 for that module alone; changing
-  :class:`~repro.analyzer.options.AnalyzerOptions` re-runs the
-  analyzer and then only the phase-2 jobs of modules whose directives
-  actually changed.
+design forces whole-program recompilation.  :class:`CompilationScheduler`
+exploits that freedom with a content-addressed on-disk cache
+(:mod:`repro.driver.cache`) keyed on exactly the inputs each phase
+depends on: source text + opt level for phase 1, (phase-1 fingerprint,
+per-module directive digest, opt level) for phase 2.  Editing one
+module re-runs phase 1 for that module alone; changing
+:class:`~repro.analyzer.options.AnalyzerOptions` re-runs the analyzer
+and then only the phase-2 jobs of modules whose directives actually
+changed.  Every job runs inline, in module order.
 
 Every stage is instrumented with wall-clock and cache counters; one
 compilation's share is surfaced on
@@ -28,14 +20,12 @@ compilation's share is surfaced on
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analyzer.database import ProgramDatabase
 from repro.analyzer.driver import analyze_program
@@ -57,21 +47,12 @@ from repro.verify.auditor import AuditError, audit_executable
 STAGES = ("phase1", "analyze", "phase2", "link", "verify")
 
 
-def _phase1_task(item) -> Phase1Result:
-    """Process-pool entry point for one module's first phase."""
-    name, text, opt_level = item
-    return compile_module_phase1(text, name, opt_level)
-
-
-def _phase2_task(item):
-    """Process/inline entry point for one module's second phase.
+def _phase2_task(ir_module, database, opt_level, allocator):
+    """One module's second phase.
 
     Phase 2 rewrites the IR in place, and one phase-1 result feeds many
-    configurations, so the task always works on a private deep copy —
-    whether it runs in a worker (where the pickle round-trip already
-    isolated it) or inline in the parent.
+    configurations, so the task always works on a private deep copy.
     """
-    ir_module, database, opt_level, allocator = item
     return compile_module_phase2(
         deepcopy(ir_module), database, opt_level, allocator
     )
@@ -81,7 +62,6 @@ def _phase2_task(item):
 class MetricsSnapshot:
     """Point-in-time (or differenced) scheduler instrumentation."""
 
-    jobs: int = 1
     stage_seconds: dict = field(default_factory=dict)
     stage_tasks: dict = field(default_factory=dict)
     cache_hits: dict = field(default_factory=dict)
@@ -115,7 +95,6 @@ class MetricsSnapshot:
             }
 
         return MetricsSnapshot(
-            jobs=self.jobs,
             stage_seconds=diff(self.stage_seconds, earlier.stage_seconds),
             stage_tasks=diff(self.stage_tasks, earlier.stage_tasks),
             cache_hits=diff(self.cache_hits, earlier.cache_hits),
@@ -131,7 +110,6 @@ class MetricsSnapshot:
 
     def to_json_dict(self) -> dict:
         return {
-            "jobs": self.jobs,
             "stage_seconds": dict(self.stage_seconds),
             "stage_tasks": dict(self.stage_tasks),
             "cache_hits": dict(self.cache_hits),
@@ -145,7 +123,6 @@ class MetricsSnapshot:
     def from_json_dict(cls, payload: dict) -> "MetricsSnapshot":
         """Inverse of :meth:`to_json_dict` (field-exact round-trip)."""
         return cls(
-            jobs=payload.get("jobs", 1),
             stage_seconds=dict(payload.get("stage_seconds", {})),
             stage_tasks=dict(payload.get("stage_tasks", {})),
             cache_hits=dict(payload.get("cache_hits", {})),
@@ -163,20 +140,20 @@ def _normalize_sources(sources) -> list:
 
 
 class CompilationScheduler:
-    """Runs the two compiler phases per-module, in parallel, with an
-    artifact cache.
+    """Runs the two compiler phases per-module, inline and in module
+    order, with an artifact cache.
 
     Args:
-        jobs: Worker-process count.  ``1`` (the default) runs every job
-            inline — bit-identical behavior to the historical serial
-            driver; ``None`` means one worker per CPU.
+        jobs: Must be 1; any other value raises :class:`ValueError`.
+            The process pool it sized was removed (``BENCH_results.json``
+            → ``concurrency_decision``).
         cache_dir: Root of the artifact cache, or ``None`` to disable
             caching entirely.
         cache: An existing :class:`~repro.driver.cache.ArtifactCache`
             to compile against, shared with other schedulers — the
-            compile service hands every session's scheduler one sharded
-            cache so concurrent sessions dedupe phase-1/phase-2 work
-            against each other.  Mutually exclusive with ``cache_dir``;
+            compile service hands every session's scheduler one cache
+            so concurrent sessions dedupe phase-1/phase-2 work against
+            each other.  Mutually exclusive with ``cache_dir``;
             the cache (and its statistics) stays caller-owned.
         verify: Run the post-link allocation auditor
             (:mod:`repro.verify.auditor`) on every linked executable and
@@ -193,9 +170,6 @@ class CompilationScheduler:
             an existing :class:`~repro.obs.tracer.Tracer` is used as-is
             (and stays caller-owned).  ``None`` (the default) reads the
             ``REPRO_TRACE`` environment variable (a path enables).
-            Every event is emitted from this parent process — worker
-            processes compute, the parent narrates — so serial and
-            parallel runs produce identical canonicalized streams.
         allocator: Default register-allocation strategy for phase 2
             (:mod:`repro.backend.allocators`: ``paper``, ``linearscan``,
             ``spill-everywhere``).  ``None`` (the default) defers to the
@@ -204,15 +178,13 @@ class CompilationScheduler:
             override per compilation.  The strategy is part of each
             phase-2 cache key, so strategies never share object modules.
 
-    The worker pool is created lazily on the first parallel stage and
-    reused across compilations (benchmark sessions amortize startup
-    over the whole Table 3/4 matrix).  Use as a context manager or
-    call :meth:`close` to reclaim the pool.
+    Use as a context manager or call :meth:`close` to close an owned
+    trace file.
     """
 
     def __init__(
         self,
-        jobs: int | None = 1,
+        jobs: int = 1,
         cache_dir=None,
         verify: bool | None = None,
         incremental: bool = False,
@@ -226,12 +198,12 @@ class CompilationScheduler:
                 "incremental analyzer was removed, and every compile "
                 "runs the full analyzer"
             )
+        if jobs != 1:
+            raise ValueError(
+                f"jobs={jobs!r} is no longer supported: the process "
+                "pool was removed, and every job runs inline"
+            )
         self.allocator = allocator
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
         if trace is None:
             trace = os.environ.get("REPRO_TRACE") or None
         self._owns_tracer = False
@@ -258,16 +230,12 @@ class CompilationScheduler:
         self.verify = verify
         self.last_audit_report = None
         self._last_audit_summary: dict = {}
-        self._executor = None
         self._stage_seconds: dict = {}
         self._stage_tasks: dict = {}
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
         if self._owns_tracer:
             # Records stay readable in memory; only the file is closed.
             self.tracer.close()
@@ -277,19 +245,6 @@ class CompilationScheduler:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _get_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            mp_context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                # Fork workers inherit the parent's str-hash seed, so
-                # even hash-order-sensitive code would stay consistent
-                # with the parent process within one session.
-                mp_context = multiprocessing.get_context("fork")
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=mp_context
-            )
-        return self._executor
 
     # -- instrumentation --------------------------------------------------
 
@@ -320,7 +275,6 @@ class CompilationScheduler:
             }
         )
         return MetricsSnapshot(
-            jobs=self.jobs,
             stage_seconds=dict(self._stage_seconds),
             stage_tasks=dict(self._stage_tasks),
             cache_hits=cache_stats["hits"],
@@ -338,62 +292,27 @@ class CompilationScheduler:
 
     # -- execution core ---------------------------------------------------
 
-    def _run_tasks(self, task_fn, items: list) -> list:
-        """Run ``task_fn`` over ``items``, in order, possibly in
-        parallel.  A broken pool (resource limits, killed workers)
-        degrades to inline execution rather than failing the build."""
-        if self.jobs > 1 and len(items) > 1:
-            try:
-                return list(self._get_executor().map(task_fn, items))
-            except BrokenProcessPool:
-                self._executor = None
-        return [task_fn(item) for item in items]
-
-    def _run_labeled_tasks(
-        self, stage: str, task_fn, items: list, labels: list
-    ) -> list:
-        """:meth:`_run_tasks` plus one ``module`` span per item.
-
-        The span carries the stage and module name so flamegraph
-        folding can attribute phase time per module.  Canonicalized
-        streams must stay identical between serial and parallel runs,
-        so both paths emit the same begin/end pairs in item order; only
-        the *timing* differs — inline execution runs each task inside
-        its span (real per-module seconds), while the pool path
-        computes first and then emits empty spans (~0 seconds each,
-        the fan-out wall-clock stays on the enclosing stage span).
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._run_tasks(task_fn, items)
-        if self.jobs > 1 and len(items) > 1:
-            try:
-                computed = list(self._get_executor().map(task_fn, items))
-            except BrokenProcessPool:
-                self._executor = None
-            else:
-                for label in labels:
-                    with tracer.span("module", stage=stage,
-                                     module=label):
-                        pass
-                return computed
+    def _run_modules(self, stage: str, tasks: list) -> list:
+        """Run each ``(module name, task)`` pair inline, in module order,
+        inside one ``module`` span carrying the stage and module name,
+        so flamegraph folding can attribute phase time per module."""
         results: list = []
-        for item, label in zip(items, labels):
-            with tracer.span("module", stage=stage, module=label):
-                results.append(task_fn(item))
+        for label, task in tasks:
+            with self.tracer.span("module", stage=stage, module=label):
+                results.append(task())
         return results
 
     # -- pipeline stages --------------------------------------------------
 
     def run_phase1(self, sources, opt_level: int = 2) -> list:
-        """Compiler first phase over every module (cached, parallel)."""
+        """Compiler first phase over every module (cached)."""
         modules = _normalize_sources(sources)
         tracer = self.tracer
         with self._timed("phase1"), tracer.span(
             "phase1", modules=len(modules)
         ):
             results: list = [None] * len(modules)
-            pending: list = []  # (index, task item, cache key)
+            pending: list = []  # (index, module name, source, cache key)
             for index, (name, text) in enumerate(modules):
                 key = phase1_fingerprint(text, name, opt_level)
                 if self.cache is not None:
@@ -401,22 +320,18 @@ class CompilationScheduler:
                     if isinstance(cached, Phase1Result):
                         results[index] = cached
                         continue
-                pending.append((index, (name, text, opt_level), key))
+                pending.append((index, name, text, key))
             self._count_tasks("phase1", len(pending))
-            computed = self._run_labeled_tasks(
-                "phase1",
-                _phase1_task,
-                [item for _, item, _ in pending],
-                [item[0] for _, item, _ in pending],
-            )
-            for (index, _item, key), result in zip(pending, computed):
+            computed = self._run_modules("phase1", [
+                (name, partial(compile_module_phase1, text, name, opt_level))
+                for _index, name, text, _key in pending
+            ])
+            for (index, _name, _text, key), result in zip(pending, computed):
                 results[index] = result
                 if self.cache is not None:
                     self.cache.store("phase1", key, result)
             if tracer.enabled:
-                # Narrated here, in module order, from the parent —
-                # worker scheduling cannot reorder the stream.
-                recompiled = {index for index, _item, _key in pending}
+                recompiled = {index for index, *_rest in pending}
                 for index, (name, _text) in enumerate(modules):
                     tracer.event(
                         "module-phase1",
@@ -447,7 +362,7 @@ class CompilationScheduler:
         opt_level: int = 2,
         allocator: str | None = None,
     ) -> list:
-        """Compiler second phase over every module (cached, parallel).
+        """Compiler second phase over every module (cached).
 
         Cache keys pair each module's phase-1 fingerprint with a digest
         of the directives its compilation can observe (plus the
@@ -480,26 +395,18 @@ class CompilationScheduler:
                         continue
                 pending.append((index, key))
             self._count_tasks("phase2", len(pending))
-            computed = self._run_labeled_tasks(
-                "phase2",
-                _phase2_task,
-                [
-                    (
-                        phase1_results[index].ir_module,
-                        database,
-                        opt_level,
-                        resolved,
-                    )
-                    for index, _key in pending
-                ],
-                [
+            computed = self._run_modules("phase2", [
+                (
                     getattr(
-                        phase1_results[index].ir_module, "name",
-                        str(index),
-                    )
-                    for index, _key in pending
-                ],
-            )
+                        phase1_results[index].ir_module, "name", str(index)
+                    ),
+                    partial(
+                        _phase2_task, phase1_results[index].ir_module,
+                        database, opt_level, resolved,
+                    ),
+                )
+                for index, _key in pending
+            ])
             for (index, key), obj in zip(pending, computed):
                 objects[index] = obj
                 if self.cache is not None and key is not None:

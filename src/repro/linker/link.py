@@ -91,7 +91,7 @@ def serialize_executable(executable: Executable) -> bytes:
     observe (instructions with their resolved operands, data image,
     symbol tables).  Two executables are behaviorally identical iff
     their images are byte-identical, which is what the determinism
-    suite asserts across serial/parallel and cold/warm-cache builds.
+    suite asserts across cold/warm-cache builds.
     """
     instructions = [
         [type(instruction).__name__, sorted(

@@ -199,7 +199,6 @@ class MetricsRegistry:
 
 def fold_metrics_snapshot(registry: MetricsRegistry, snapshot) -> None:
     """Fold a scheduler :class:`MetricsSnapshot` into ``registry``."""
-    registry.set_gauge("repro_scheduler_jobs", snapshot.jobs)
     for stage, seconds in snapshot.stage_seconds.items():
         registry.inc("repro_stage_seconds_total", seconds, stage=stage)
     for stage, count in snapshot.stage_tasks.items():

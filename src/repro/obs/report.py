@@ -63,7 +63,7 @@ COMMANDS = (
 # -- compilation front-end -------------------------------------------------
 
 
-def _collect_profile(workload, opt_level: int, jobs: int):
+def _collect_profile(workload, opt_level: int):
     """The gprof step for configs B/F, kept out of the main trace.
 
     Uses a throwaway untraced scheduler: the baseline compile-and-run
@@ -76,9 +76,7 @@ def _collect_profile(workload, opt_level: int, jobs: int):
     from repro.machine.simulator import run_executable
     from repro.obs.tracer import NULL_TRACER
 
-    with CompilationScheduler(
-        jobs=jobs, trace=NULL_TRACER, verify=False
-    ) as scheduler:
+    with CompilationScheduler(trace=NULL_TRACER, verify=False) as scheduler:
         phase1 = scheduler.run_phase1(workload.sources, opt_level)
         executable = scheduler.compile_with_database(
             phase1, ProgramDatabase(), opt_level
@@ -91,7 +89,6 @@ def compile_workload(
     workload_name: str,
     config: str = "C",
     opt_level: int = 2,
-    jobs: int = 1,
     save_trace=None,
     verify: bool | None = None,
 ):
@@ -111,11 +108,9 @@ def compile_workload(
     try:
         profile = None
         if config.upper() in ("B", "F"):
-            profile = _collect_profile(workload, opt_level, jobs)
+            profile = _collect_profile(workload, opt_level)
         options = AnalyzerOptions.config(config, profile)
-        with CompilationScheduler(
-            jobs=jobs, trace=tracer, verify=verify
-        ) as scheduler:
+        with CompilationScheduler(trace=tracer, verify=verify) as scheduler:
             phase1 = scheduler.run_phase1(workload.sources, opt_level)
             database = scheduler.analyze(
                 [result.summary for result in phase1], options
@@ -629,9 +624,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--opt-level", type=int, default=2, help="optimization level"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel compile jobs"
-    )
-    parser.add_argument(
         "--from-trace",
         metavar="PATH",
         help="render from a saved REPRO_TRACE JSONL instead of"
@@ -727,7 +719,6 @@ def main(argv=None) -> int:
             args.workload,
             config=args.config,
             opt_level=args.opt_level,
-            jobs=args.jobs,
             save_trace=args.save_trace,
             verify=verify,
         )

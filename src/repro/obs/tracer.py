@@ -7,25 +7,23 @@ increasing ordinal.  Records are kept in memory and, when the tracer
 was given a path, appended to a JSONL file as they happen.
 
 Determinism is a hard requirement: the test suite asserts that two
-runs of the same compilation — and a serial run against a ``jobs=2``
-run — produce *identical* canonicalized streams.  The rules that make
-that hold:
+runs of the same compilation produce *identical* canonicalized
+streams.  The rules that make that hold:
 
 * payloads never contain wall-clock values, process ids, memory
   addresses, or hash-order-dependent collections (sets are sorted
   before they enter a record);
 * the only timing field is the ``seconds`` slot of span-end records,
   and :func:`canonicalize_trace` strips it;
-* every record is emitted from the scheduler's parent process — worker
-  processes compute, the parent narrates — so worker scheduling cannot
-  reorder the stream.
+* the scheduler runs every module's job inline, in module order, so
+  nothing can reorder the stream.
 
 Instrumentation sites never hold a tracer; they fetch the ambient one
 via :func:`current_tracer`, which answers the no-op :data:`NULL_TRACER`
 unless a real tracer was installed with :func:`activate` (the scheduler
 does this around every stage when constructed with ``trace=`` or with
 ``REPRO_TRACE`` set).  The ambient slot is a :class:`~contextvars.
-ContextVar`, so concurrent service requests running on separate worker
+ContextVar`, so concurrent service requests running on separate
 threads each see their own request-scoped tracer.  The null tracer's
 methods are empty and its ``enabled`` flag is ``False``, so disabled
 tracing costs one context-variable read and one attribute check per
@@ -215,7 +213,7 @@ class Tracer:
 # -- ambient tracer -------------------------------------------------------
 
 #: Context-local so the compile service can activate one request-scoped
-#: tracer per worker thread without cross-request contamination; plain
+#: tracer per thread without cross-request contamination; plain
 #: single-threaded callers see classic global behavior.
 _CURRENT: ContextVar = ContextVar("repro_ambient_tracer",
                                   default=NULL_TRACER)

@@ -6,7 +6,7 @@ independently against a persistent program database — is exactly the
 shape of a compile server.  This package serves it: many concurrent
 edit/compile sessions over a newline-JSON protocol (unix socket +
 TCP), each with its own scheduler, all deduping phase-1/phase-2 work
-through one shared sharded artifact cache, with prometheus metrics at
+through one shared artifact cache, with prometheus metrics at
 ``/metrics``.  See ``docs/SERVICE.md``.
 """
 

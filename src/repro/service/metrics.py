@@ -1,9 +1,8 @@
 """Observability glue between the compile service and :mod:`repro.obs`.
 
 The daemon owns one :class:`~repro.obs.metrics.MetricsRegistry`,
-mutated only from the event loop (worker threads compute, the loop
-narrates — the same single-writer discipline the scheduler's tracer
-uses).  This module holds the fold functions that pour service
+mutated only from the event loop (the compile thread computes, the
+loop narrates).  This module holds the fold functions that pour service
 activity into it:
 
 * per-request counters and a latency histogram
@@ -100,14 +99,12 @@ def fold_service_state(registry: MetricsRegistry, service) -> None:
     registry.set_gauge(
         "repro_service_jobs_active", service.jobs_active
     )
-    registry.set_gauge("repro_service_workers", service.workers)
     registry.set_gauge(
         "repro_service_draining", int(service.draining)
     )
     cache = service.cache
     if cache is None:
         return
-    registry.set_gauge("repro_service_cache_shards", cache.shards)
     for outcome, counters in cache.stats.snapshot().items():
         for stage, count in counters.items():
             registry.set_gauge(
@@ -167,13 +164,11 @@ def server_stats(service) -> dict:
         "compiles_total": service.compiles_total,
         "jobs_pending": service.jobs_pending,
         "jobs_active": service.jobs_active,
-        "workers": service.workers,
         "draining": service.draining,
         "trace_path": service.trace_path,
     }
     if cache is not None:
         payload["cache"] = {
-            "shards": cache.shards,
             "hit_rate": cache_hit_rate(cache),
             **cache.stats.snapshot(),
         }

@@ -12,27 +12,28 @@ subsystems:
   whole-program analyzer in between — the paper's
   separate-compilation story as a service;
 * every session's scheduler compiles against **one shared**
-  :class:`~repro.driver.cache.ArtifactCache`, sharded by key prefix
-  with the per-shard LRU byte cap, so concurrent sessions dedupe
-  phase-1/phase-2 work against each other without thrashing one
-  global LRU;
-* compiles run **off the event loop** on a bounded worker pool: the
-  loop admits jobs through a semaphore-guarded queue into a
+  :class:`~repro.driver.cache.ArtifactCache` (one LRU domain under
+  ``REPRO_CACHE_MAX_BYTES``), so concurrent sessions dedupe
+  phase-1/phase-2 work against each other;
+* compiles run **off the event loop** on one compile thread: the loop
+  admits jobs through a semaphore-guarded queue into a one-thread
   :class:`~concurrent.futures.ThreadPoolExecutor`, so slow compiles
-  never block protocol traffic, and the pool bound caps memory;
+  never block protocol traffic.  Compiles are CPU-bound Python, so
+  more threads only contend for the GIL: one thread beat two and four
+  on the 100-session load;
 * one :class:`~repro.obs.metrics.MetricsRegistry` (mutated only from
   the loop) is exported at an HTTP ``/metrics`` prometheus endpoint
   plus per-session JSON ``stats`` replies.
 
 Concurrency discipline, in one paragraph: the event loop owns all
 mutable service state (sessions table, registry, counters).  A compile
-job receives an immutable snapshot of its session's sources, runs in a
-worker thread under the session's lock (so one session's compiles are
-serialized and its scheduler state is single-threaded),
-and only its *result* crosses back to the loop.  The shared cache is
-the one object touched from many threads; its writes are atomic
-(tempfile + rename) and content-addressed, so racing sessions can only
-ever store identical bytes under the same key.
+job receives an immutable snapshot of its session's sources, runs on
+the compile thread under the session's lock (so one session's compiles
+are serialized and its scheduler state is single-threaded), and only
+its *result* crosses back to the loop.  The shared cache's writes are
+atomic (tempfile + rename) and content-addressed, so even a second
+process sharing the directory can only ever store identical bytes
+under the same key.
 
 Shutdown drains gracefully: listeners close first, in-flight jobs run
 to completion and their responses are delivered, new work is refused
@@ -74,28 +75,6 @@ from repro.service.protocol import (
     validate_request,
 )
 
-#: Worker-pool default: enough threads to keep a desktop-class host
-#: busy without unbounded memory.  ``REPRO_SERVICE_WORKERS`` overrides.
-DEFAULT_WORKERS = 8
-
-#: Shared-cache shard default *for the service* (a standalone
-#: ``ArtifactCache`` still defaults to one shard).  Overridden by
-#: ``REPRO_CACHE_SHARDS``.
-DEFAULT_SERVICE_SHARDS = 8
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("REPRO_SERVICE_WORKERS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(DEFAULT_WORKERS, os.cpu_count() or 1)
-
-
-def _default_shards() -> int:
-    raw = os.environ.get("REPRO_CACHE_SHARDS", "").strip()
-    return int(raw) if raw else DEFAULT_SERVICE_SHARDS
-
-
 def _default_trace_path() -> str | None:
     return os.environ.get("REPRO_SERVICE_TRACE", "").strip() or None
 
@@ -126,11 +105,12 @@ class CompileService:
         unix_path: Path for the unix-domain listener (``None`` skips).
         host/port: TCP listener endpoint (``host=None`` skips;
             ``port=0`` picks a free port, see :attr:`tcp_address`).
-        workers: Bound of the compile worker pool (``None`` reads
-            ``REPRO_SERVICE_WORKERS``, default ``min(8, cpus)``).
+        workers: Must be 1; any other value raises :class:`ValueError`.
+            The daemon runs every compile on one thread, because more
+            threads were slower on CPU-bound compiles
+            (``BENCH_results.json`` → ``concurrency_decision``).
         cache: A shared :class:`ArtifactCache` to compile against.
-        cache_dir: Root for a service-owned cache (sharded per
-            ``REPRO_CACHE_SHARDS``, default 8 shards).  When neither
+        cache_dir: Root for a service-owned cache.  When neither
             ``cache`` nor ``cache_dir`` is given the service makes a
             private temporary cache and removes it on ``stop()``.
         metrics_port: Enable the HTTP ``/metrics`` endpoint on this
@@ -150,7 +130,7 @@ class CompileService:
         unix_path: str | None = None,
         host: str | None = None,
         port: int = 0,
-        workers: int | None = None,
+        workers: int = 1,
         cache: ArtifactCache | None = None,
         cache_dir: str | None = None,
         metrics_host: str = "127.0.0.1",
@@ -160,12 +140,14 @@ class CompileService:
     ):
         if unix_path is None and host is None:
             raise ValueError("need a unix_path and/or a TCP host")
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers!r} is no longer supported: the "
+                "daemon runs every compile on one thread"
+            )
         self.unix_path = unix_path
         self.host = host
         self.port = port
-        self.workers = (
-            workers if workers is not None else _default_workers()
-        )
         self._cache_tempdir = None
         if cache is not None:
             self.cache = cache
@@ -175,9 +157,7 @@ class CompileService:
                     prefix="repro-service-cache-"
                 )
                 cache_dir = self._cache_tempdir.name
-            self.cache = ArtifactCache(
-                cache_dir, shards=_default_shards()
-            )
+            self.cache = ArtifactCache(cache_dir)
         self.metrics_host = metrics_host
         self.metrics_port = metrics_port
         self.drain_timeout = drain_timeout
@@ -215,10 +195,9 @@ class CompileService:
 
     async def start(self) -> None:
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-service",
+            max_workers=1, thread_name_prefix="repro-service"
         )
-        self._job_slots = asyncio.Semaphore(self.workers)
+        self._job_slots = asyncio.Semaphore(1)
         if self.unix_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
@@ -375,7 +354,7 @@ class CompileService:
                 )
             # The request span: every record of this request — the
             # queue/lock waits recorded on the loop and the scheduler's
-            # phase spans recorded in the worker thread — nests under
+            # phase spans recorded on the compile thread — nests under
             # it in a private, request-scoped tracer whose ordinals and
             # span ids restart per request (that privacy is what makes
             # per-trace streams deterministic under concurrency).
@@ -480,14 +459,14 @@ class CompileService:
         return session
 
     async def _run_job(self, fn, tracer=NULL_TRACER):
-        """Admit one compute job to the bounded worker pool.
+        """Admit one compute job to the compile thread.
 
         Returns ``(result, queue_seconds)`` where ``queue_seconds`` is
-        the time spent waiting for a worker slot (also recorded as a
+        the time spent waiting for the thread (also recorded as a
         ``queue-wait`` span).  After the job returns, a
         ``worker-handoff`` event records how long the job sat between
-        submission to the pool and its first instruction on a worker
-        thread — pool-side latency the semaphore cannot see.
+        submission to the executor and its first instruction on the
+        thread — executor-side latency the semaphore cannot see.
         """
         if self.draining:
             raise ServiceError(
@@ -543,7 +522,6 @@ class CompileService:
             allocator=params.get("allocator"),
             max_cycles=params.get("max_cycles", 200_000_000),
             scheduler=CompilationScheduler(
-                jobs=1,
                 cache=self.cache,
                 verify=False,
                 allocator=params.get("allocator"),
@@ -607,7 +585,7 @@ class CompileService:
                 # under this request's span tree.  Safe because the
                 # session lock serializes this session's compiles, and
                 # `activate` makes the same tracer ambient for this
-                # worker thread only (ContextVar, not a global).
+                # thread only (ContextVar, not a global).
                 previous = scheduler.tracer
                 scheduler.tracer = tracer
                 try:

@@ -51,7 +51,7 @@ def _both_kernels(monkeypatch, run):
 @pytest.fixture(scope="module")
 def scheduler(tmp_path_factory):
     with CompilationScheduler(
-        jobs=1, cache_dir=tmp_path_factory.mktemp("dataflow-diff-cache")
+        cache_dir=tmp_path_factory.mktemp("dataflow-diff-cache")
     ) as sched:
         yield sched
 
@@ -146,7 +146,7 @@ def test_fuzz_databases_identical(monkeypatch, scheduler, seed):
 
 
 def _phase1_summaries(sources) -> list:
-    with CompilationScheduler(jobs=1) as uncached:
+    with CompilationScheduler() as uncached:
         return [
             result.summary.to_json()
             for result in run_phase1(sources, scheduler=uncached)
@@ -178,7 +178,7 @@ def test_executables_identical(monkeypatch, name):
     sources = all_workloads()[name].sources
 
     def build() -> str:
-        with CompilationScheduler(jobs=1) as uncached:
+        with CompilationScheduler() as uncached:
             phase1 = run_phase1(sources, scheduler=uncached)
             database = analyze_program(
                 [result.summary for result in phase1],

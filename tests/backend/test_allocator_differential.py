@@ -46,10 +46,8 @@ SLOW_MATRIX = [
 
 @pytest.fixture(scope="module")
 def scheduler(tmp_path_factory):
-    """Warm cache + post-link auditing; serial keeps the single-CPU
-    tier-1 budget honest."""
+    """Warm cache + post-link auditing."""
     with CompilationScheduler(
-        jobs=1,
         cache_dir=tmp_path_factory.mktemp("alloc-diff-cache"),
         verify=True,
     ) as sched:

@@ -187,7 +187,7 @@ def test_small_program_audits_clean_end_to_end(config, tmp_path):
 
     sources = generate_fuzz_program(2)
     with CompilationScheduler(
-        jobs=1, cache_dir=tmp_path, verify=True
+        cache_dir=tmp_path, verify=True
     ) as scheduler:
         phase1 = scheduler.run_phase1(sources, 2)
         if config is None:

@@ -35,7 +35,7 @@ FAST_CONFIGS = ("baseline", "A", "C", "D", "E")
 @pytest.fixture(scope="module")
 def scheduler(tmp_path_factory):
     with CompilationScheduler(
-        jobs=1, cache_dir=tmp_path_factory.mktemp("golden-cache")
+        cache_dir=tmp_path_factory.mktemp("golden-cache")
     ) as sched:
         yield sched
 

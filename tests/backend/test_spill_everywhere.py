@@ -180,7 +180,7 @@ def test_differential_against_paper_on_a_small_program():
         }
         """
     }
-    with CompilationScheduler(jobs=1, verify=True) as scheduler:
+    with CompilationScheduler(verify=True) as scheduler:
         phase1 = run_phase1(sources, scheduler=scheduler)
         database = analyze_program(
             [r.summary for r in phase1], AnalyzerOptions.config("C")

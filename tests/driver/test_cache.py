@@ -46,7 +46,7 @@ SOURCES = {
 
 @pytest.fixture
 def scheduler(tmp_path):
-    with CompilationScheduler(jobs=1, cache_dir=tmp_path / "cache") as sched:
+    with CompilationScheduler(cache_dir=tmp_path / "cache") as sched:
         yield sched
 
 
@@ -66,6 +66,17 @@ def test_cache_miss_counts(tmp_path):
     assert cache.load("phase1", "cd" * 32) is None
     assert cache.stats.misses["phase1"] == 1
     assert cache.stats.bad_entries["phase1"] == 0
+
+
+def test_layout_matches_historical(tmp_path):
+    """Entries live at the historical on-disk layout: a two-char
+    fan-out directory under the root, no other directory level."""
+    cache = ArtifactCache(tmp_path / "c")
+    key = "ab" + "0" * 62
+    cache.store("phase1", key, {"x": 1})
+    expected = tmp_path / "c" / "ab" / (key + ".pkl")
+    assert expected.exists()
+    assert cache.load("phase1", key) == {"x": 1}
 
 
 @pytest.mark.parametrize(
@@ -198,7 +209,7 @@ def test_identical_directive_slices_share_phase2_objects(scheduler):
 
 def test_corrupt_scheduler_entry_recomputed_bit_identically(tmp_path):
     cache_dir = tmp_path / "cache"
-    with CompilationScheduler(jobs=1, cache_dir=cache_dir) as one:
+    with CompilationScheduler(cache_dir=cache_dir) as one:
         first = one.compile_program(SOURCES)
     # Vandalize every stored artifact.
     count = 0
@@ -210,13 +221,50 @@ def test_corrupt_scheduler_entry_recomputed_bit_identically(tmp_path):
                     handle.truncate(os.path.getsize(path) // 3)
                 count += 1
     assert count == 2 * len(SOURCES)
-    with CompilationScheduler(jobs=1, cache_dir=cache_dir) as two:
+    with CompilationScheduler(cache_dir=cache_dir) as two:
         second = two.compile_program(SOURCES)
         metrics = two.metrics_snapshot()
     assert sum(metrics.cache_bad_entries.values()) == count
     assert not metrics.cache_hits
     assert executable_fingerprint(first.executable) == \
         executable_fingerprint(second.executable)
+
+
+# -- one cache shared by many schedulers (the compile service) ---------
+
+SHARED_SOURCES = {
+    "m": "int g; int main() { g = 2; print(g * 21); return 0; }"
+}
+
+
+def test_cache_kwarg_shares_entries(tmp_path):
+    shared = ArtifactCache(tmp_path / "c")
+    options = AnalyzerOptions.config("C")
+    with CompilationScheduler(cache=shared) as first:
+        a = first.compile_program(dict(SHARED_SOURCES), 2, options)
+    with CompilationScheduler(cache=shared) as second:
+        b = second.compile_program(dict(SHARED_SOURCES), 2, options)
+    assert executable_fingerprint(
+        a.executable
+    ) == executable_fingerprint(b.executable)
+    # The second scheduler recompiled nothing.
+    assert b.metrics.stage_tasks.get("phase1", 0) == 0
+    assert b.metrics.stage_tasks.get("phase2", 0) == 0
+    assert shared.stats.hits["phase1"] >= 1
+    assert shared.stats.hits["phase2"] >= 1
+
+
+def test_cache_and_cache_dir_conflict(tmp_path):
+    shared = ArtifactCache(tmp_path / "c")
+    with pytest.raises(ValueError):
+        CompilationScheduler(cache=shared, cache_dir=str(tmp_path / "d"))
+
+
+def test_scheduler_cache_stays_caller_owned(tmp_path):
+    shared = ArtifactCache(tmp_path / "c")
+    scheduler = CompilationScheduler(cache=shared)
+    assert scheduler.cache is shared
+    scheduler.close()
 
 
 def test_default_database_digest_equals_absent_digest(scheduler):
@@ -306,7 +354,7 @@ def test_cache_limit_from_environment(tmp_path, monkeypatch):
 
 def test_eviction_counters_reach_scheduler_metrics(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "2000")
-    with CompilationScheduler(jobs=1, cache_dir=tmp_path / "c") as sched:
+    with CompilationScheduler(cache_dir=tmp_path / "c") as sched:
         sched.compile_program(SOURCES)
         metrics = sched.metrics_snapshot()
     assert sum(metrics.cache_evictions.values()) > 0

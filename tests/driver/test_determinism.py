@@ -1,13 +1,13 @@
 """Determinism / equivalence oracle for the compilation scheduler.
 
-The fast paths (process-pool parallelism, warm artifact cache) must be
-*bit-identical* to the slow ones: same canonical executable image, same
-simulated execution down to the last counter.  Nothing here is allowed
-to tolerate "close enough" — the paper's recompilation-avoidance story
-only holds if cached and recomputed artifacts are interchangeable.
+The fast path (a warm artifact cache) must be *bit-identical* to the
+slow one: same canonical executable image, same simulated execution
+down to the last counter.  Nothing here is allowed to tolerate "close
+enough" — the paper's recompilation-avoidance story only holds if
+cached and recomputed artifacts are interchangeable.
 
 Covers generated programs (seeded fuzzing substrate) and Table-3
-workloads, over serial vs parallel and cold vs warm-cache builds.
+workloads, over cold vs warm-cache builds.
 """
 
 import pytest
@@ -20,11 +20,6 @@ from repro.testing import generate_program
 from repro.workloads import get_workload
 
 MAX_CYCLES = 60_000_000
-
-# Forced worker count: exercises the real process-pool path even on
-# single-core runners (where it proves nothing about speed, only about
-# equivalence — which is the point of this module).
-PARALLEL_JOBS = 4
 
 GENERATED_SEEDS = (11, 207)
 WORKLOADS = ("dhrystone", "fgrep")
@@ -79,30 +74,14 @@ def _run_stats(scheduler, sources, max_cycles):
 
 
 @pytest.mark.parametrize("program", _program_params())
-def test_serial_vs_parallel_bit_identical(program):
-    sources, max_cycles = _sources_and_cycles(program)
-    with CompilationScheduler(jobs=1) as serial, \
-            CompilationScheduler(jobs=PARALLEL_JOBS) as parallel:
-        assert _build_matrix(serial, sources) == _build_matrix(
-            parallel, sources
-        )
-        serial_fp, serial_stats = _run_stats(serial, sources, max_cycles)
-        parallel_fp, parallel_stats = _run_stats(
-            parallel, sources, max_cycles
-        )
-    assert serial_fp == parallel_fp
-    assert serial_stats == parallel_stats
-
-
-@pytest.mark.parametrize("program", _program_params())
 def test_cold_vs_warm_cache_bit_identical(program, tmp_path):
     sources, max_cycles = _sources_and_cycles(program)
     cache_dir = tmp_path / "cache"
-    with CompilationScheduler(jobs=1, cache_dir=cache_dir) as cold:
+    with CompilationScheduler(cache_dir=cache_dir) as cold:
         cold_matrix = _build_matrix(cold, sources)
         cold_fp, cold_stats = _run_stats(cold, sources, max_cycles)
     # A fresh scheduler over the same cache replays every artifact.
-    with CompilationScheduler(jobs=1, cache_dir=cache_dir) as warm:
+    with CompilationScheduler(cache_dir=cache_dir) as warm:
         warm_matrix = _build_matrix(warm, sources)
         warm_fp, warm_stats = _run_stats(warm, sources, max_cycles)
         metrics = warm.metrics_snapshot()
@@ -116,26 +95,11 @@ def test_cold_vs_warm_cache_bit_identical(program, tmp_path):
     assert metrics.stage_tasks.get("phase2", 0) == 0
 
 
-@pytest.mark.parametrize("mode", ["serial", "parallel"])
-def test_parallel_warm_cache_bit_identical(mode, tmp_path):
-    """Cache written serially must replay identically under the
-    process pool (and vice versa), for both generated programs."""
-    sources, _ = _sources_and_cycles(("seed", GENERATED_SEEDS[0]))
-    writer_jobs = 1 if mode == "serial" else PARALLEL_JOBS
-    reader_jobs = PARALLEL_JOBS if mode == "serial" else 1
-    cache_dir = tmp_path / "cache"
-    with CompilationScheduler(jobs=writer_jobs, cache_dir=cache_dir) as one:
-        first = _build_matrix(one, sources)
-    with CompilationScheduler(jobs=reader_jobs, cache_dir=cache_dir) as two:
-        second = _build_matrix(two, sources)
-    assert first == second
-
-
 def test_recompilation_in_same_scheduler_is_identical():
     """Phase 2 must never leak mutations back into phase-1 IR: the same
     phase-1 results compiled repeatedly give the same executable."""
     sources, _ = _sources_and_cycles(("seed", GENERATED_SEEDS[1]))
-    with CompilationScheduler(jobs=1) as scheduler:
+    with CompilationScheduler() as scheduler:
         phase1 = scheduler.run_phase1(sources)
         database = scheduler.analyze(
             [result.summary for result in phase1],

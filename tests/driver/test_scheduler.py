@@ -1,37 +1,18 @@
 """Scheduler-level behavior: instrumentation, the plain-API bridge, and
-the parallel wall-clock win on multi-core hosts."""
+the removed keywords."""
 
 import os
 import time
 
 import pytest
 
-from repro import AnalyzerOptions, ProgramDatabase, compile_program
+from repro import AnalyzerOptions, compile_program
 from repro.driver import pipeline
 from repro.driver.scheduler import CompilationScheduler, MetricsSnapshot
-from repro.workloads import all_workloads
-
-MATRIX_CONFIGS = (None, "A", "C", "D", "E")
-
-
-def _compile_matrix(scheduler):
-    """Compile every Table-3 workload under the no-profile analyzer
-    columns (the profiled columns cost the same at compile time)."""
-    for workload in all_workloads().values():
-        phase1 = scheduler.run_phase1(workload.sources)
-        summaries = [result.summary for result in phase1]
-        for config in MATRIX_CONFIGS:
-            if config is None:
-                database = ProgramDatabase()
-            else:
-                database = scheduler.analyze(
-                    summaries, AnalyzerOptions.config(config)
-                )
-            scheduler.compile_with_database(phase1, database)
 
 
 def test_metrics_surface_on_compilation_result():
-    with CompilationScheduler(jobs=1) as scheduler:
+    with CompilationScheduler() as scheduler:
         result = scheduler.compile_program(
             {"main": "int main() { print(7); return 0; }"},
             analyzer_options=AnalyzerOptions.config("C"),
@@ -43,7 +24,7 @@ def test_metrics_surface_on_compilation_result():
     assert metrics.stage_tasks == {"phase1": 1, "analyze": 1, "phase2": 1}
     payload = metrics.to_json_dict()
     assert set(payload) == {
-        "jobs", "stage_seconds", "stage_tasks",
+        "stage_seconds", "stage_tasks",
         "cache_hits", "cache_misses", "cache_bad_entries",
         "cache_evictions", "audit",
     }
@@ -55,11 +36,9 @@ def test_minus_carries_audit_snapshot_without_sharing():
     non-numeric values; ``minus`` carries the newer value (never a
     numeric diff) and never shares mutable structure."""
     before = MetricsSnapshot(
-        jobs=1,
         audit={"violation_count": 1, "violations_by_check": {"a": 1}},
     )
     after = MetricsSnapshot(
-        jobs=1,
         audit={"violation_count": 2, "violations_by_check": {"b": 2}},
     )
     delta = after.minus(before)
@@ -73,7 +52,6 @@ def test_minus_carries_audit_snapshot_without_sharing():
 
 def test_snapshot_json_round_trip():
     snapshot = MetricsSnapshot(
-        jobs=2,
         stage_seconds={"phase1": 1.25},
         stage_tasks={"phase1": 3},
         cache_hits={"phase1": 1},
@@ -97,7 +75,7 @@ def test_stage_timing_survives_raising_phase1():
     """A stage that raises still records its wall-clock: _timed
     finalizes in a ``finally``, so failed work never vanishes from the
     stage_seconds ledger."""
-    with CompilationScheduler(jobs=1) as scheduler:
+    with CompilationScheduler() as scheduler:
         with pytest.raises(Exception):
             scheduler.run_phase1({"bad": "int main( {"})
         snapshot = scheduler.metrics_snapshot()
@@ -116,7 +94,7 @@ def test_stage_timing_survives_raising_auditor(monkeypatch):
     monkeypatch.setattr(
         scheduler_module, "audit_executable", exploding_audit
     )
-    with CompilationScheduler(jobs=1, verify=True) as scheduler:
+    with CompilationScheduler(verify=True) as scheduler:
         with pytest.raises(RuntimeError, match="auditor exploded"):
             scheduler.compile_program(
                 {"main": "int main() { print(5); return 0; }"}
@@ -127,7 +105,7 @@ def test_stage_timing_survives_raising_auditor(monkeypatch):
 
 
 def test_metrics_diff_isolates_one_compilation(tmp_path):
-    with CompilationScheduler(jobs=1, cache_dir=tmp_path) as scheduler:
+    with CompilationScheduler(cache_dir=tmp_path) as scheduler:
         sources = {"main": "int main() { print(1); return 0; }"}
         first = scheduler.compile_program(sources)
         second = scheduler.compile_program(sources)
@@ -138,20 +116,18 @@ def test_metrics_diff_isolates_one_compilation(tmp_path):
 
 def test_plain_api_defaults_to_serial_uncached():
     scheduler = pipeline.default_scheduler()
-    assert scheduler.jobs == 1 or os.environ.get("REPRO_JOBS")
+    assert scheduler.cache is None or os.environ.get("REPRO_CACHE_DIR")
     result = compile_program(
         {"main": "int main() { print(3); return 0; }"}
     )
     assert result.metrics is not None
 
 
-def test_env_overrides_select_parallel_cached(monkeypatch, tmp_path):
+def test_env_override_selects_cached(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "_default_scheduler", None)
-    monkeypatch.setenv("REPRO_JOBS", "2")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     try:
         scheduler = pipeline.default_scheduler()
-        assert scheduler.jobs == 2
         assert scheduler.cache is not None
     finally:
         pipeline.default_scheduler().close()
@@ -159,10 +135,13 @@ def test_env_overrides_select_parallel_cached(monkeypatch, tmp_path):
 
 
 def test_rejects_bad_job_counts():
-    with pytest.raises(ValueError):
-        CompilationScheduler(jobs=0)
-    with pytest.raises(ValueError):
-        CompilationScheduler(jobs=-2)
+    """``jobs`` survives only as a keyword that accepts 1: the process
+    pool is gone, and any other count says so."""
+    with CompilationScheduler(jobs=1):
+        pass
+    for jobs in (2, None, 0):
+        with pytest.raises(ValueError, match="process pool was removed"):
+            CompilationScheduler(jobs=jobs)
 
 
 def test_incremental_keyword_accepts_only_false():
@@ -170,33 +149,3 @@ def test_incremental_keyword_accepts_only_false():
         pass
     with pytest.raises(ValueError, match="incremental analyzer was removed"):
         CompilationScheduler(incremental=True)
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 4 if hasattr(os, "sched_getaffinity")
-    else (os.cpu_count() or 1) < 4,
-    reason="parallel speedup needs >= 4 usable cores",
-)
-def test_parallel_matrix_at_least_twice_as_fast():
-    """Acceptance: the full Table-3 compile matrix runs >= 2x faster
-    through the process pool than serially on a 4-core host."""
-    with CompilationScheduler(jobs=1) as serial:
-        start = time.perf_counter()
-        _compile_matrix(serial)
-        serial_seconds = time.perf_counter() - start
-
-    with CompilationScheduler(jobs=None) as parallel:
-        # Warm the pool: startup is a per-session cost the scheduler
-        # amortizes over the whole benchmark matrix.
-        parallel.run_phase1({"warm": "int main() { return 0; }"})
-        best = float("inf")
-        for _attempt in range(2):
-            start = time.perf_counter()
-            _compile_matrix(parallel)
-            best = min(best, time.perf_counter() - start)
-
-    assert best * 2.0 <= serial_seconds, (
-        f"parallel matrix {best:.2f}s vs serial {serial_seconds:.2f}s "
-        f"({serial_seconds / best:.2f}x, expected >= 2x)"
-    )

@@ -23,7 +23,6 @@ SEEDS = (1, 4)
 @pytest.fixture(scope="module")
 def scheduler(tmp_path_factory):
     with CompilationScheduler(
-        jobs=2,
         cache_dir=tmp_path_factory.mktemp("churn-cache"),
         verify=True,
     ) as sched:

@@ -43,10 +43,9 @@ PROFILE_SEEDS = {0, 7}
 
 @pytest.fixture(scope="module")
 def scheduler(tmp_path_factory):
-    """Parallel workers + warm cache + post-link auditing: the
-    configuration under test is the one real runs use."""
+    """Warm cache + post-link auditing: the configuration under test
+    is the one real runs use."""
     with CompilationScheduler(
-        jobs=2,
         cache_dir=tmp_path_factory.mktemp("fuzz-cache"),
         verify=True,
     ) as sched:

@@ -44,7 +44,7 @@ def test_current_legend_survives_merge(bench_conftest, tmp_path):
         "legend": {"A": "stale wording from an old build"},
         "workloads": {"othello": {"baseline": {"cycles": 1}}},
     }))
-    bench_conftest._SCHEDULER_METRICS.update({"jobs": 2})
+    bench_conftest._SCHEDULER_METRICS.update({"stage_tasks": {"phase1": 2}})
 
     payload = bench_conftest.write_bench_report(str(path))
 
@@ -56,7 +56,7 @@ def test_current_legend_survives_merge(bench_conftest, tmp_path):
     assert on_disk["workloads"] == {
         "othello": {"baseline": {"cycles": 1}}
     }
-    assert on_disk["scheduler"] == {"jobs": 2}
+    assert on_disk["scheduler"] == {"stage_tasks": {"phase1": 2}}
 
 
 def test_fresh_report_without_previous_file(bench_conftest, tmp_path):

@@ -88,7 +88,6 @@ def test_json_dict_is_json_serializable_and_sorted():
 
 def test_fold_metrics_snapshot():
     snapshot = MetricsSnapshot(
-        jobs=2,
         stage_seconds={"phase1": 1.5, "analyze": 0.5},
         stage_tasks={"phase1": 3},
         cache_hits={"phase1": 2},
@@ -100,7 +99,7 @@ def test_fold_metrics_snapshot():
     )
     registry = MetricsRegistry()
     fold_metrics_snapshot(registry, snapshot)
-    assert registry.value("repro_scheduler_jobs") == 2
+    assert registry.value("repro_scheduler_jobs") is None
     assert registry.value(
         "repro_stage_seconds_total", stage="phase1"
     ) == pytest.approx(1.5)
@@ -197,7 +196,6 @@ def test_fold_execution_attributes_per_cluster():
 
 def test_unified_registry_composes_all_surfaces():
     snapshot = MetricsSnapshot(
-        jobs=1,
         stage_seconds={"phase1": 0.1},
         stage_tasks={"phase1": 1},
         cache_hits={},
@@ -209,7 +207,7 @@ def test_unified_registry_composes_all_surfaces():
     stats = ExecutionStats()
     stats.cycles = 5
     registry = unified_registry(snapshot=snapshot, stats=stats)
-    assert registry.value("repro_scheduler_jobs") == 1
+    assert registry.value("repro_stage_tasks_total", stage="phase1") == 1
     assert registry.value("repro_run_cycles") == 5
     # All-default call answers an empty but valid registry.
     assert unified_registry().names() == []

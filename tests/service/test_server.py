@@ -7,9 +7,10 @@ import urllib.request
 import pytest
 
 from repro import AnalyzerOptions, CompilationScheduler
+from repro.driver.cache import ArtifactCache
 from repro.linker.link import executable_fingerprint
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ServiceThread
+from repro.service.server import CompileService, ServiceThread
 from repro.verify.progen import FuzzProgramGenerator
 
 SOURCES = {
@@ -38,7 +39,7 @@ int accumulate(int x) {
 
 def serial_fingerprint(sources, config="C", opt_level=2) -> str:
     """The oracle: a fresh, serial, uncached compile."""
-    with CompilationScheduler(jobs=1) as scheduler:
+    with CompilationScheduler() as scheduler:
         options = (
             AnalyzerOptions.config(config) if config is not None else None
         )
@@ -121,7 +122,7 @@ class TestLifecycle:
         assert profiled["call_counts"].get("accumulate") == 20
         out = client.compile(session)
 
-        with CompilationScheduler(jobs=1) as scheduler:
+        with CompilationScheduler() as scheduler:
             phase1 = scheduler.run_phase1(SOURCES, 2)
             from repro.driver.pipeline import collect_profile
 
@@ -162,9 +163,11 @@ class TestSharedCache:
 
     def test_server_stats_report_shared_cache(self, client):
         stats = client.stats()
-        assert stats["cache"]["shards"] >= 1
+        assert set(stats["cache"]) == {
+            "hit_rate", "hits", "misses", "bad_entries", "evictions",
+        }
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
-        assert stats["workers"] >= 1
+        assert "workers" not in stats
 
     def test_session_stats(self, client):
         session = client.open_session(dict(SOURCES))["session"]
@@ -177,6 +180,21 @@ class TestSharedCache:
 
 
 class TestConcurrency:
+    def test_workers_keyword_accepts_only_one(self, tmp_path):
+        """The daemon has exactly one compile thread; ``workers``
+        survives only as a keyword that accepts 1."""
+        cache = ArtifactCache(tmp_path / "cache")
+        CompileService(
+            unix_path=str(tmp_path / "s.sock"), workers=1, cache=cache,
+            trace_path="",
+        )
+        for workers in (2, None):
+            with pytest.raises(ValueError, match="one thread"):
+                CompileService(
+                    unix_path=str(tmp_path / "s.sock"), workers=workers,
+                    cache=cache, trace_path="",
+                )
+
     def test_concurrent_sessions_match_serial(self, service):
         """Seeded edit sessions driven from racing threads produce
         byte-identical executables vs fresh serial compiles."""
@@ -237,7 +255,9 @@ class TestMetricsEndpoint:
         ).read().decode("utf-8")
         assert "# TYPE repro_service_requests_total counter" in body
         assert "repro_service_sessions_open" in body
-        assert "repro_service_cache_shards" in body
+        assert "repro_service_jobs_active" in body
+        assert "repro_service_workers" not in body
+        assert "repro_service_cache_shards" not in body
         assert "repro_service_request_seconds_bucket" in body
 
     def test_unknown_path_404(self, service):
