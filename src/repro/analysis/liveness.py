@@ -13,7 +13,9 @@ the old round-robin changed-flag sweep recomputed every block's
 ``live_out`` from scratch each global pass even when no predecessor
 changed.  The fixpoint runs on integer bit vectors over a dense value
 index (:mod:`repro.analysis.packed`) and converts to sets once at the
-end.
+end.  Clients that stay on bit vectors (IR dead-code elimination, the
+paper allocator's interference graph) encode their own masks and call
+:func:`block_graph` and :func:`solve_masks` directly.
 """
 
 from __future__ import annotations
@@ -96,6 +98,22 @@ def _worklist_order(
     return list(reversed(postorder))
 
 
+def block_graph(
+    labels: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> tuple[list, dict, dict, list]:
+    """``(labels, succs, preds, order)`` of a CFG: the label list,
+    successor and predecessor lists per label, and the worklist seed
+    order (reverse post-order) that :func:`solve_masks` expects."""
+    label_list = list(labels)
+    succs = {label: list(successors(label)) for label in label_list}
+    preds: dict[str, list] = {label: [] for label in label_list}
+    for label in label_list:
+        for successor in succs[label]:
+            preds[successor].append(label)
+    order = _worklist_order(label_list, succs, preds)
+    return label_list, succs, preds, order
+
+
 def compute_liveness(
     labels: Iterable[str],
     successors: Callable[[str], Iterable[str]],
@@ -112,16 +130,45 @@ def compute_liveness(
         is_trackable: Filter for operand values to track (e.g. "is a
             Temp" or "is a virtual register").
     """
-    label_list = list(labels)
-    succs = {label: list(successors(label)) for label in label_list}
-    preds: dict[str, list] = {label: [] for label in label_list}
-    for label in label_list:
-        for successor in succs[label]:
-            preds[successor].append(label)
-    order = _worklist_order(label_list, succs, preds)
+    label_list, succs, preds, order = block_graph(labels, successors)
     return _solve(
         label_list, succs, preds, order, block_instructions, is_trackable
     )
+
+
+def solve_masks(
+    succs: dict, preds: dict, order: list, use_mask: dict, def_mask: dict
+) -> tuple[dict, dict, int]:
+    """The least fixpoint of ``in = use | (out & ~def)``,
+    ``out = OR(in of successors)`` on per-block bit vectors.
+
+    Returns ``(live_in, live_out, visits)``: masks per label and the
+    number of worklist pops.  Always solves from zero, so the answer is
+    the least fixpoint whatever the masks were before.
+    """
+    live_in: dict[str, int] = {label: 0 for label in succs}
+    live_out: dict[str, int] = {label: 0 for label in succs}
+    # Seeded in reverse post-order, popped LIFO: the first sweep runs
+    # successors-first, so acyclic regions converge in one visit each.
+    stack = list(order)
+    queued = set(order)
+    visits = 0
+    while stack:
+        label = stack.pop()
+        queued.discard(label)
+        visits += 1
+        out = 0
+        for successor in succs[label]:
+            out |= live_in[successor]
+        new_in = use_mask[label] | (out & ~def_mask[label])
+        live_out[label] = out
+        if new_in != live_in[label]:
+            live_in[label] = new_in
+            for predecessor in preds[label]:
+                if predecessor not in queued:
+                    queued.add(predecessor)
+                    stack.append(predecessor)
+    return live_in, live_out, visits
 
 
 def _solve(
@@ -161,29 +208,9 @@ def _solve(
         use_mask[label] = use
         def_mask[label] = define
 
-    live_in: dict[str, int] = {label: 0 for label in label_list}
-    live_out: dict[str, int] = {label: 0 for label in label_list}
-    # Seeded in reverse post-order, popped LIFO: the first sweep runs
-    # successors-first, so acyclic regions converge in one visit each.
-    stack = list(order)
-    queued = set(order)
-    visits = 0
-    while stack:
-        label = stack.pop()
-        queued.discard(label)
-        visits += 1
-        out = 0
-        for successor in succs[label]:
-            out |= live_in[successor]
-        new_in = use_mask[label] | (out & ~def_mask[label])
-        live_out[label] = out
-        if new_in != live_in[label]:
-            live_in[label] = new_in
-            for predecessor in preds[label]:
-                if predecessor not in queued:
-                    queued.add(predecessor)
-                    stack.append(predecessor)
-
+    live_in, live_out, visits = solve_masks(
+        succs, preds, order, use_mask, def_mask
+    )
     facts = {}
     for label in label_list:
         facts[label] = BlockLiveness(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.liveness import compute_liveness
+from repro.analysis.liveness import block_graph, solve_masks
 from repro.backend.mir import MachineFunction
 from repro.target import isa
 
@@ -106,78 +106,150 @@ register_allocator(PaperAllocator())
 
 
 def _build_interference(machine: MachineFunction) -> dict:
-    liveness = compute_liveness(
-        machine.blocks.keys(),
-        lambda label: machine.blocks[label].successors(),
-        lambda label: machine.blocks[label].instructions,
-        is_tracked,
-    )
+    """Every vreg's node: interference, move partners and spill cost.
+
+    One forward pass indexes the tracked values (vregs and allocatable
+    physical registers), encodes each instruction's tracked defs and
+    uses as bit masks, and adds up costs and move partners.  Liveness is
+    solved on the block masks; a backward walk per block then ORs the
+    live set into each def's row, where adding one edge per live value
+    would cost a call per pair.  Rows are made symmetric once at the
+    end and decoded into the node sets.
+    """
+    values: list = []  # position -> tracked value
+    vreg_bits = 0  # the positions that hold vregs
     nodes: dict[isa.VReg, _NodeInfo] = {}
+    # value -> (its node or None, bit, position); bit 0 if untracked.
+    known: dict = {}
 
-    def node(vreg: isa.VReg) -> _NodeInfo:
-        if vreg not in nodes:
-            info = _NodeInfo(vreg)
-            info.is_spill_temp = vreg.hint.startswith("!spill")
-            nodes[vreg] = info
-        return nodes[vreg]
+    def learn(value) -> tuple:
+        nonlocal vreg_bits
+        info = None
+        if isinstance(value, isa.VReg):
+            info = nodes[value] = _NodeInfo(value)
+            info.is_spill_temp = value.hint.startswith("!spill")
+        elif not is_tracked(value):
+            known[value] = entry = (None, 0, -1)
+            return entry
+        position = len(values)
+        values.append(value)
+        if info is not None:
+            vreg_bits |= 1 << position
+        known[value] = entry = (info, 1 << position, position)
+        return entry
 
-    # Ensure every vreg has a node even if dead, and record move pairs
-    # for move-biased coloring.
-    for instruction in machine.iter_instructions():
-        for value in list(instruction.uses()) + list(instruction.defs()):
-            if isinstance(value, isa.VReg):
-                node(value)
-        if isinstance(instruction, isa.MOV):
-            dst, src = instruction.rd, instruction.rs
-            if isinstance(dst, isa.VReg) and isinstance(src, isa.VReg):
-                node(dst).move_vregs.add(src)
-                node(src).move_vregs.add(dst)
-            elif isinstance(dst, isa.VReg) and isinstance(src, int):
-                node(dst).move_physical.add(src)
-            elif isinstance(src, isa.VReg) and isinstance(dst, int):
-                node(src).move_physical.add(dst)
-
+    # label -> [(def mask, use mask, [(vreg def position, bit)],
+    #            physical def mask, MOV source bit, is call)], in order.
+    encoded: dict[str, list] = {}
+    use_mask: dict[str, int] = {}
+    def_mask: dict[str, int] = {}
     for label, block in machine.blocks.items():
         weight = 10 ** min(block.loop_depth, 6)
-        live = set(liveness.live_out(label))
-        for instruction in reversed(block.instructions):
-            defs = [d for d in instruction.defs() if is_tracked(d)]
-            uses = [u for u in instruction.uses() if is_tracked(u)]
-            move_source = (
-                instruction.rs
-                if isinstance(instruction, isa.MOV)
-                else None
-            )
-            for defined in defs:
-                for other in live:
-                    if other is defined or other is move_source:
-                        continue
-                    _add_edge(node, defined, other)
-            if instruction.is_call:
-                for value in live:
-                    if isinstance(value, isa.VReg) and value not in defs:
-                        node(value).live_across_call = True
-            for defined in defs:
-                live.discard(defined)
-                if isinstance(defined, isa.VReg):
-                    node(defined).cost += weight
-            for used in uses:
-                live.add(used)
-                if isinstance(used, isa.VReg):
-                    node(used).cost += weight
+        entries = []
+        for instruction in block.instructions:
+            used_bits = 0
+            for value in instruction.uses():
+                info, bit, _position = known.get(value) or learn(value)
+                if info is not None:
+                    info.cost += weight
+                used_bits |= bit
+            defined_bits = 0
+            rows = []
+            physical_bits = 0
+            for value in instruction.defs():
+                info, bit, position = known.get(value) or learn(value)
+                if info is not None:
+                    info.cost += weight
+                    rows.append((position, bit))
+                else:
+                    physical_bits |= bit
+                defined_bits |= bit
+            move_bit = 0
+            if isinstance(instruction, isa.MOV):
+                # Move partners, for move-biased coloring.
+                dst, src = instruction.rd, instruction.rs
+                if isinstance(dst, isa.VReg) and isinstance(src, isa.VReg):
+                    nodes[dst].move_vregs.add(src)
+                    nodes[src].move_vregs.add(dst)
+                elif isinstance(dst, isa.VReg) and isinstance(src, int):
+                    nodes[dst].move_physical.add(src)
+                elif isinstance(src, isa.VReg) and isinstance(dst, int):
+                    nodes[src].move_physical.add(dst)
+                # A copy's destination does not interfere with its
+                # source.
+                move_bit = known[src][1]
+            entries.append((
+                defined_bits, used_bits, rows, physical_bits, move_bit,
+                instruction.is_call,
+            ))
+        live = 0
+        define = 0
+        for defined_bits, used_bits, *_rest in reversed(entries):
+            live = (live & ~defined_bits) | used_bits
+            define |= defined_bits
+        encoded[label] = entries
+        use_mask[label] = live
+        def_mask[label] = define
+
+    _labels, succs, preds, order = block_graph(
+        machine.blocks, lambda label: machine.blocks[label].successors()
+    )
+    _live_in, live_out, _visits = solve_masks(
+        succs, preds, order, use_mask, def_mask
+    )
+
+    rows_of = [0] * len(values)  # vreg position -> values its defs meet
+    # physical def mask -> the vregs live at some def of exactly those
+    # registers (call clobber sets repeat, so this stays small).
+    forbid: dict[int, int] = {}
+    across = 0  # values live across some call they are not defined by
+    for label, entries in encoded.items():
+        live = live_out[label]
+        for (
+            defined_bits, used_bits, rows, physical_bits, move_bit, is_call,
+        ) in reversed(entries):
+            if live:
+                for position, bit in rows:
+                    rows_of[position] |= live & ~(bit | move_bit)
+                if physical_bits:
+                    forbid[physical_bits] = forbid.get(physical_bits, 0) | (
+                        live & vreg_bits & ~move_bit
+                    )
+                if is_call:
+                    across |= live & ~defined_bits
+            live = (live & ~defined_bits) | used_bits
+
+    # Symmetrize: a def of vreg j meeting vreg i is an edge of i too,
+    # and a def of physical registers forbids them to the live vregs.
+    adjacency = list(rows_of)
+    for position, row in enumerate(rows_of):
+        bit = 1 << position
+        row &= vreg_bits
+        while row:
+            low = row & -row
+            adjacency[low.bit_length() - 1] |= bit
+            row ^= low
+    for physical_bits, row in forbid.items():
+        while row:
+            low = row & -row
+            adjacency[low.bit_length() - 1] |= physical_bits
+            row ^= low
+
+    def decode(mask: int) -> set:
+        items = set()
+        while mask:
+            low = mask & -mask
+            items.add(values[low.bit_length() - 1])
+            mask ^= low
+        return items
+
+    for vreg, info in nodes.items():
+        _info, bit, position = known[vreg]
+        row = adjacency[position]
+        info.neighbors = decode(row & vreg_bits)
+        info.forbidden = decode(row & ~vreg_bits)
+        info.live_across_call = bool(across & bit)
     return nodes
-
-
-def _add_edge(node_of, a, b) -> None:
-    a_virtual = isinstance(a, isa.VReg)
-    b_virtual = isinstance(b, isa.VReg)
-    if a_virtual and b_virtual:
-        node_of(a).neighbors.add(b)
-        node_of(b).neighbors.add(a)
-    elif a_virtual and not b_virtual:
-        node_of(a).forbidden.add(b)
-    elif b_virtual and not a_virtual:
-        node_of(b).forbidden.add(a)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +299,13 @@ def _color(machine: MachineFunction, nodes: dict) -> tuple[dict, list]:
         )
         if chosen is None:
             chosen = next((r for r in pool if r not in taken), None)
+        if chosen is None and info.is_spill_temp:
+            # A spill temp cannot be spilled again: take a register
+            # from a neighbour and spill that neighbour instead.
+            victim = _spill_victim(machine, nodes, info, pool, assignment)
+            if victim is not None:
+                chosen = assignment.pop(victim)
+                spills.append(victim)
         if chosen is None:
             if info.is_spill_temp:  # pragma: no cover - defensive
                 raise RegisterAllocationError(
@@ -236,3 +315,30 @@ def _color(machine: MachineFunction, nodes: dict) -> tuple[dict, list]:
         else:
             assignment[info.vreg] = chosen
     return assignment, spills
+
+
+def _spill_victim(
+    machine: MachineFunction, nodes: dict, info: _NodeInfo, pool: list,
+    assignment: dict,
+):
+    """The neighbour of spill temp ``info`` whose spilling frees a
+    register for it, or ``None``: the cheapest coloured neighbour that
+    is neither precoloured nor a spill temp and is the only neighbour
+    holding a register of ``pool`` that ``info`` is not forbidden."""
+    holders: dict[int, list] = {}
+    for neighbor in info.neighbors:
+        register = assignment.get(neighbor)
+        if register is not None:
+            holders.setdefault(register, []).append(neighbor)
+    candidates = [
+        nodes[held[0]]
+        for register, held in holders.items()
+        if len(held) == 1
+        and register in pool
+        and register not in info.forbidden
+        and held[0] not in machine.precolored
+        and not nodes[held[0]].is_spill_temp
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda node: (node.cost, node.vreg.uid)).vreg

@@ -12,8 +12,9 @@ The full two-pass flow::
 exposed so experiments can rerun only the stages they vary.  Because the
 paper's Table 4 compiles the *same* program under seven analyzer
 configurations, :func:`run_phase1` / :func:`compile_with_database` let
-benchmarks share the phase-1 work: phase 2 deep-copies the IR so one
-phase-1 result can feed many configurations.
+benchmarks share the phase-1 work: phase 2 loads a private copy of the
+IR from the result's pickled blob, so one phase-1 result can feed many
+configurations.
 
 Every function here delegates to a
 :class:`~repro.driver.scheduler.CompilationScheduler`.  The module-level

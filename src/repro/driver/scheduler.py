@@ -21,6 +21,7 @@ compilation's share is surfaced on
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from contextlib import contextmanager
 from copy import deepcopy
@@ -30,10 +31,7 @@ from functools import partial
 from repro.analyzer.database import ProgramDatabase
 from repro.analyzer.driver import analyze_program
 from repro.backend.allocators import resolve_allocator
-from repro.backend.phase2 import (
-    compile_module_phase2,
-    module_directive_names,
-)
+from repro.backend.phase2 import compile_module_phase2
 from repro.driver.cache import ArtifactCache, phase2_key
 from repro.frontend.phase1 import (
     Phase1Result,
@@ -47,14 +45,11 @@ from repro.verify.auditor import AuditError, audit_executable
 STAGES = ("phase1", "analyze", "phase2", "link", "verify")
 
 
-def _phase2_task(ir_module, database, opt_level, allocator):
-    """One module's second phase.
-
-    Phase 2 rewrites the IR in place, and one phase-1 result feeds many
-    configurations, so the task always works on a private deep copy.
-    """
+def _phase2_task(ir_blob, database, opt_level, allocator):
+    """One module's second phase, on a private copy of the phase-1 IR
+    loaded from its pickled blob (phase 2 rewrites the IR in place)."""
     return compile_module_phase2(
-        deepcopy(ir_module), database, opt_level, allocator
+        pickle.loads(ir_blob), database, opt_level, allocator
     )
 
 
@@ -383,7 +378,7 @@ class CompilationScheduler:
                 key = None
                 if self.cache is not None and result.fingerprint:
                     digest = database.directive_digest(
-                        module_directive_names(result.ir_module)
+                        result.directive_names
                     )
                     key = phase2_key(
                         result.fingerprint, digest, opt_level,
@@ -397,11 +392,9 @@ class CompilationScheduler:
             self._count_tasks("phase2", len(pending))
             computed = self._run_modules("phase2", [
                 (
-                    getattr(
-                        phase1_results[index].ir_module, "name", str(index)
-                    ),
+                    phase1_results[index].module_name,
                     partial(
-                        _phase2_task, phase1_results[index].ir_module,
+                        _phase2_task, phase1_results[index].ir_blob,
                         database, opt_level, resolved,
                     ),
                 )
@@ -416,9 +409,7 @@ class CompilationScheduler:
                 for index, result in enumerate(phase1_results):
                     tracer.event(
                         "module-phase2",
-                        module=getattr(
-                            result.ir_module, "name", str(index)
-                        ),
+                        module=result.module_name,
                         cached=index not in recompiled,
                         allocator=resolved,
                     )

@@ -8,15 +8,17 @@ information on usage counts ... and estimates for callee-saves register
 requirements".
 
 The optimized :class:`~repro.ir.IRModule` plays the role of the paper's
-intermediate file, handed to the second phase unchanged.
+intermediate file, handed to the second phase unchanged: it is pickled
+once, and every consumer loads its own copy from those bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import pickle
 
 from repro.analysis.frequency import analyze_function_usage
+from repro.backend.phase2 import module_directive_names
 from repro.frontend.summary import (
     GlobalSummary,
     ModuleSummary,
@@ -33,7 +35,8 @@ from repro.opt.pipeline import optimize_module
 #: Bump when phase-1 output changes for unchanged inputs (new optimizer
 #: passes, summary fields, ...): fingerprints — and therefore any cache
 #: entries keyed on them — must not survive such a change.
-PHASE1_SCHEMA = 1
+#: v2: the IR travels as one pickled blob (``Phase1Result.ir_blob``).
+PHASE1_SCHEMA = 2
 
 
 def phase1_fingerprint(
@@ -53,19 +56,48 @@ def phase1_fingerprint(
     return hashlib.sha256(token.encode("utf-8")).hexdigest()
 
 
-@dataclass
 class Phase1Result:
     """The first phase's two outputs for one module.
+
+    The optimized IR is kept as one pickled blob, made once: phase 2
+    rewrites IR in place and one phase-1 result feeds many
+    configurations, so every reader gets its own copy through
+    :attr:`ir_module`, and nothing can write back into the result.
+    ``module_name`` and ``directive_names`` (see
+    :func:`~repro.backend.phase2.module_directive_names`) are recorded
+    up front so that a phase-2 cache hit never unpickles IR.
 
     ``fingerprint`` content-addresses the inputs that produced the
     result (see :func:`phase1_fingerprint`); the scheduler keys phase-2
     cache entries on it.  Hand-built results may leave it empty, which
     simply opts them out of caching.
+
+    The class has slots and no instance dict, so a cache entry pickled
+    in the earlier format (a dataclass holding ``ir_module``) fails to
+    unpickle, and the artifact cache reads it as a miss.
     """
 
-    ir_module: IRModule
-    summary: ModuleSummary
-    fingerprint: str = ""
+    __slots__ = (
+        "ir_blob", "summary", "fingerprint", "module_name",
+        "directive_names",
+    )
+
+    def __init__(
+        self, ir_module: IRModule, summary: ModuleSummary,
+        fingerprint: str = "",
+    ):
+        self.ir_blob = pickle.dumps(
+            ir_module, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        self.summary = summary
+        self.fingerprint = fingerprint
+        self.module_name = ir_module.name
+        self.directive_names = module_directive_names(ir_module)
+
+    @property
+    def ir_module(self) -> IRModule:
+        """A fresh private copy of the optimized IR."""
+        return pickle.loads(self.ir_blob)
 
 
 def compile_module_phase1(

@@ -1,35 +1,41 @@
-"""Hand-written lexer for Tiny-C.
+"""Lexer for Tiny-C.
 
 The lexer produces a flat list of :class:`~repro.lang.tokens.Token` objects
 ending with a single ``EOF`` token.  Both ``//`` line comments and
 ``/* ... */`` block comments are supported.
+
+One compiled master pattern recognizes every token and every stretch of
+whitespace or comment; the lexer only dispatches on which alternative
+matched and keeps the line count.  Number literals are ASCII digits
+only: any other digit is an unexpected character.  Identifiers start
+with a letter or ``_`` and continue with letters, digits or ``_`` in
+the Unicode sense of :meth:`str.isalpha` / :meth:`str.isalnum`.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.lang.errors import LexError, SourceLocation
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
-# Multi-character operators, longest first so maximal munch works.
-_MULTI_CHAR_OPERATORS = [
-    ("<<", TokenKind.LSHIFT),
-    (">>", TokenKind.RSHIFT),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NE),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("&&", TokenKind.AND_AND),
-    ("||", TokenKind.OR_OR),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("%=", TokenKind.PERCENT_ASSIGN),
-    ("++", TokenKind.PLUS_PLUS),
-    ("--", TokenKind.MINUS_MINUS),
-]
-
-_SINGLE_CHAR_OPERATORS = {
+_OPERATORS = {
+    # Two-character operators are tried first (maximal munch).
+    "<<": TokenKind.LSHIFT,
+    ">>": TokenKind.RSHIFT,
+    "==": TokenKind.EQ,
+    "!=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "&&": TokenKind.AND_AND,
+    "||": TokenKind.OR_OR,
+    "+=": TokenKind.PLUS_ASSIGN,
+    "-=": TokenKind.MINUS_ASSIGN,
+    "*=": TokenKind.STAR_ASSIGN,
+    "/=": TokenKind.SLASH_ASSIGN,
+    "%=": TokenKind.PERCENT_ASSIGN,
+    "++": TokenKind.PLUS_PLUS,
+    "--": TokenKind.MINUS_MINUS,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "{": TokenKind.LBRACE,
@@ -65,162 +71,129 @@ _ESCAPES = {
     '"': 34,
 }
 
-
-class Lexer:
-    """Converts Tiny-C source text into a token stream."""
-
-    def __init__(self, source: str, module_name: str = "<input>"):
-        self._source = source
-        self._module = module_name
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole input; returns tokens terminated by an EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._module, self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        location = self._location()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, "", location)
-
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number(location)
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(location)
-        if ch == "'":
-            return self._lex_char(location)
-        if ch == '"':
-            return self._lex_string(location)
-
-        for text, kind in _MULTI_CHAR_OPERATORS:
-            if self._source.startswith(text, self._pos):
-                self._advance(len(text))
-                return Token(kind, text, location)
-
-        kind = _SINGLE_CHAR_OPERATORS.get(ch)
-        if kind is not None:
-            self._advance()
-            return Token(kind, ch, location)
-
-        raise LexError(f"unexpected character {ch!r}", location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._is_hex_digit(self._peek()):
-                raise LexError("malformed hexadecimal literal", location)
-            while self._is_hex_digit(self._peek()):
-                self._advance()
-            text = self._source[start:self._pos]
-            return Token(TokenKind.INT_LITERAL, text, location, int(text, 16))
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError("identifier may not start with a digit", location)
-        text = self._source[start:self._pos]
-        return Token(TokenKind.INT_LITERAL, text, location, int(text, 10))
-
-    @staticmethod
-    def _is_hex_digit(ch: str) -> bool:
-        return bool(ch) and ch in "0123456789abcdefABCDEF"
-
-    def _lex_identifier(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start:self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
-
-    def _lex_char(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        value = self._lex_char_body(location)
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", location)
-        self._advance()
-        text = self._source[location.column - 1:]  # not used for value
-        return Token(TokenKind.CHAR_LITERAL, f"'{chr(value)}'", location, value)
-
-    def _lex_char_body(self, location: SourceLocation) -> int:
-        ch = self._peek()
-        if not ch or ch == "\n":
-            raise LexError("unterminated character literal", location)
-        if ch == "\\":
-            self._advance()
-            escape = self._peek()
-            if escape not in _ESCAPES:
-                raise LexError(f"unknown escape sequence \\{escape}", location)
-            self._advance()
-            return _ESCAPES[escape]
-        self._advance()
-        return ord(ch)
-
-    def _lex_string(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", location)
-            if ch == '"':
-                self._advance()
-                break
-            chars.append(chr(self._lex_char_body(location)))
-        value = "".join(chars)
-        return Token(TokenKind.STRING_LITERAL, f'"{value}"', location, value)
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    # Letters, '_', and the non-decimal numerics (such as superscripts)
+    # that ``\w`` also admits; the last are rejected after the match.
+    r"|(?P<word>[^\W\d]\w*)"
+    # A '0' that ends the input reads as a hex prefix without digits.
+    r"|(?P<hex>0(?:[xX]|\Z)(?P<hex_digits>[0-9a-fA-F]*))"
+    r"|(?P<decimal>[0-9]+)"
+    r"|(?P<char>')"
+    r"|(?P<string>\")"
+    r"|(?P<operator>"
+    + "|".join(re.escape(text) for text in _OPERATORS)
+    + ")",
+    re.DOTALL,
+)
 
 
 def tokenize(source: str, module_name: str = "<input>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, module_name).tokenize()
+    """Lex ``source``; returns tokens terminated by an EOF token."""
+    match_at = _TOKEN.match
+    tokens = []
+    append = tokens.append
+    pos = 0
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    end_of_input = len(source)
+    while pos < end_of_input:
+        match = match_at(source, pos)
+        if match is None:
+            raise LexError(
+                f"unexpected character {source[pos]!r}",
+                SourceLocation(module_name, line, pos - line_start + 1),
+            )
+        kind = match.lastgroup
+        end = match.end()
+        text = match.group()
+        if kind == "space" or kind == "block_comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+            pos = end
+            continue
+        if kind == "line_comment":
+            pos = end
+            continue
+        location = SourceLocation(module_name, line, pos - line_start + 1)
+        if kind == "word":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise LexError(
+                    f"unexpected character {first!r}", location
+                )
+            append(Token(
+                KEYWORDS.get(text, TokenKind.IDENT), text, location
+            ))
+        elif kind == "operator":
+            append(Token(_OPERATORS[text], text, location))
+        elif kind == "decimal":
+            follower = source[end:end + 1]
+            if follower.isalpha() or follower == "_":
+                raise LexError(
+                    "identifier may not start with a digit", location
+                )
+            append(Token(
+                TokenKind.INT_LITERAL, text, location, int(text, 10)
+            ))
+        elif kind == "hex":
+            if not match.group("hex_digits"):
+                raise LexError("malformed hexadecimal literal", location)
+            append(Token(
+                TokenKind.INT_LITERAL, text, location, int(text, 16)
+            ))
+        elif kind == "char":
+            value, end = _char_body(source, end, location)
+            if source[end:end + 1] != "'":
+                raise LexError("unterminated character literal", location)
+            end += 1
+            append(Token(
+                TokenKind.CHAR_LITERAL, f"'{chr(value)}'", location,
+                value,
+            ))
+        elif kind == "string":
+            chars = []
+            while True:
+                ch = source[end:end + 1]
+                if not ch or ch == "\n":
+                    raise LexError(
+                        "unterminated string literal", location
+                    )
+                if ch == '"':
+                    end += 1
+                    break
+                value, end = _char_body(source, end, location)
+                chars.append(chr(value))
+            value = "".join(chars)
+            append(Token(
+                TokenKind.STRING_LITERAL, f'"{value}"', location, value
+            ))
+        else:  # open_comment
+            raise LexError("unterminated block comment", location)
+        pos = end
+    append(Token(
+        TokenKind.EOF, "",
+        SourceLocation(module_name, line, pos - line_start + 1),
+    ))
+    return tokens
+
+
+def _char_body(
+    source: str, pos: int, location: SourceLocation
+) -> tuple[int, int]:
+    """The value of the (possibly escaped) character at ``pos`` inside
+    a character or string literal, and the position after it."""
+    ch = source[pos:pos + 1]
+    if not ch or ch == "\n":
+        raise LexError("unterminated character literal", location)
+    if ch == "\\":
+        escape = source[pos + 1:pos + 2]
+        if escape not in _ESCAPES:
+            raise LexError(f"unknown escape sequence \\{escape}", location)
+        return _ESCAPES[escape], pos + 2
+    return ord(ch), pos + 1

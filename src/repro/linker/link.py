@@ -12,11 +12,16 @@ together by the linker"):
 * relocation — function-local branch targets are rebased, ``BL`` callees
   and ``LDA`` symbols are resolved (function symbols resolve to code
   indices, data symbols to data addresses; the machine is Harvard-style).
+
+Only the instructions relocation rewrites (``B``/``BC``, ``BL``, ``LDA``)
+are copied; every other instruction object is shared with its object
+module.  Nothing after the linker writes to an instruction, so object
+modules (cached, or linked again under another configuration) stay
+exactly as phase 2 emitted them.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -177,41 +182,53 @@ def link(modules: list, entry: str = "main") -> Executable:
     stub_call = isa.BL(entry, [], sorted(ALL_ALLOCATABLE | {RP}))
     executable.instructions.append(stub_call)
     executable.instructions.append(isa.HALT())
+    base = len(executable.instructions)
     for name in sorted(function_defs):
-        module, function = function_defs[name]
-        base = len(executable.instructions)
         executable.function_entries[name] = base
-        instructions = copy.deepcopy(function.instructions)
-        for instruction in instructions:
-            if isinstance(instruction, (isa.B, isa.BC)):
-                instruction.target += base
+        base += len(function_defs[name][1].instructions)
+
+    # Relocation, copying only the instructions it rewrites.
+    function_entries = executable.function_entries
+    global_addresses = executable.global_addresses
+    stub_call.resolved = function_entries[stub_call.callee]
+    for name in sorted(function_defs):
+        function = function_defs[name][1]
+        base = function_entries[name]
+        instructions = list(function.instructions)
+        for position, instruction in enumerate(instructions):
+            kind = type(instruction)
+            if kind is isa.B:
+                instructions[position] = isa.B(instruction.target + base)
+            elif kind is isa.BC:
+                instructions[position] = isa.BC(
+                    instruction.op, instruction.ra, instruction.rb,
+                    instruction.target + base,
+                )
+            elif kind is isa.BL:
+                call = isa.BL(
+                    instruction.callee, instruction.arg_regs,
+                    instruction.clobbers,
+                )
+                call.resolved = function_entries[instruction.callee]
+                instructions[position] = call
+            elif kind is isa.LDA:
+                symbol = instruction.symbol
+                if instruction.is_function:
+                    if symbol not in function_entries:
+                        raise LinkError(f"undefined function {symbol!r}")
+                    resolved = function_entries[symbol]
+                else:
+                    if symbol not in global_addresses:
+                        raise LinkError(f"undefined global {symbol!r}")
+                    resolved = global_addresses[symbol]
+                load = isa.LDA(
+                    instruction.rd, symbol, instruction.is_function
+                )
+                load.resolved = resolved
+                instructions[position] = load
         executable.instructions.extend(instructions)
         executable.function_ranges.append(
             FunctionRange(name, base, len(executable.instructions),
                           function.source_module)
         )
-
-    # Relocation of symbolic references.
-    for instruction in executable.instructions:
-        if isinstance(instruction, isa.BL):
-            instruction.resolved = executable.function_entries[
-                instruction.callee
-            ]
-        elif isinstance(instruction, isa.LDA):
-            if instruction.is_function:
-                if instruction.symbol not in executable.function_entries:
-                    raise LinkError(
-                        f"undefined function {instruction.symbol!r}"
-                    )
-                instruction.resolved = executable.function_entries[
-                    instruction.symbol
-                ]
-            else:
-                if instruction.symbol not in executable.global_addresses:
-                    raise LinkError(
-                        f"undefined global {instruction.symbol!r}"
-                    )
-                instruction.resolved = executable.global_addresses[
-                    instruction.symbol
-                ]
     return executable

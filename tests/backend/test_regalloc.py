@@ -1,9 +1,11 @@
 """Register allocator tests."""
 
+from repro import AnalyzerOptions, run_executable
 from repro.analyzer.database import ProcedureDirectives, default_directives
 from repro.backend.allocators.paper import allocate_function
 from repro.backend.finalize import finalize_frame
 from repro.backend.isel import select_function
+from repro.driver.scheduler import CompilationScheduler
 from repro.ir import lower_source
 from repro.opt import optimize_module
 from repro.target import isa
@@ -12,6 +14,7 @@ from repro.target.registers import (
     CALLEE_SAVES,
     CALLER_SAVES,
 )
+from repro.verify.progen import generate_fuzz_program
 
 
 def compile_machine(source, name="f", directives=None, opt_level=1):
@@ -168,3 +171,22 @@ def test_arg_register_conflict_avoided():
         """
     )
     assert_fully_physical(machine)  # correctness verified in simulator tests
+
+
+def test_spill_temp_takes_register_from_spilled_neighbor():
+    """progen seed 27 under config A at -O2: two spill temps each meet
+    23 already-coloured neighbours holding the whole pool.  Instead of
+    failing, the allocator spills a neighbour that alone holds a pool
+    register; the build audits clean and behaves like config C's."""
+    sources = generate_fuzz_program(27)
+    observed = {}
+    with CompilationScheduler(verify=True) as scheduler:
+        for config in "AC":
+            result = scheduler.compile_program(
+                sources, opt_level=2,
+                analyzer_options=AnalyzerOptions.config(config),
+            )
+            assert scheduler.last_audit_report.ok
+            stats = run_executable(result.executable, max_cycles=60_000_000)
+            observed[config] = (tuple(stats.output), stats.exit_code)
+    assert observed["A"] == observed["C"]

@@ -8,6 +8,7 @@ down with exact hit/miss counts — and verify the cache never trusts a
 corrupt or truncated entry.
 """
 
+import copyreg
 import os
 
 import pytest
@@ -16,7 +17,11 @@ from repro import AnalyzerOptions, ProgramDatabase, run_executable
 from repro.backend.phase2 import module_directive_names
 from repro.driver.cache import ArtifactCache, phase2_key
 from repro.driver.scheduler import CompilationScheduler
-from repro.frontend.phase1 import phase1_fingerprint
+from repro.frontend.phase1 import (
+    Phase1Result,
+    compile_module_phase1,
+    phase1_fingerprint,
+)
 from repro.linker.link import executable_fingerprint
 
 # Three modules chosen so analyzer-configuration changes move some
@@ -228,6 +233,43 @@ def test_corrupt_scheduler_entry_recomputed_bit_identically(tmp_path):
     assert not metrics.cache_hits
     assert executable_fingerprint(first.executable) == \
         executable_fingerprint(second.executable)
+
+
+class _OldPhase1Result:
+    """Pickles the way ``Phase1Result`` did while it was a dataclass
+    holding the IR module itself."""
+
+    def __init__(self, ir_module, summary, fingerprint):
+        self.ir_module = ir_module
+        self.summary = summary
+        self.fingerprint = fingerprint
+
+    def __reduce__(self):
+        return (
+            copyreg._reconstructor, (Phase1Result, object, None),
+            dict(vars(self)),
+        )
+
+
+def test_old_format_phase1_entry_reads_as_miss(tmp_path):
+    cache_dir = tmp_path / "cache"
+    with CompilationScheduler() as uncached:
+        expected = executable_fingerprint(
+            uncached.compile_program(SOURCES).executable
+        )
+    cache = ArtifactCache(cache_dir)
+    for name, text in SOURCES.items():
+        key = phase1_fingerprint(text, name, 2)
+        current = compile_module_phase1(text, name, 2)
+        cache.store("phase1", key, _OldPhase1Result(
+            current.ir_module, current.summary, key
+        ))
+    with CompilationScheduler(cache_dir=cache_dir) as scheduler:
+        result = scheduler.compile_program(SOURCES)
+        metrics = scheduler.metrics_snapshot()
+    assert metrics.cache_bad_entries["phase1"] == len(SOURCES)
+    assert metrics.stage_tasks["phase1"] == len(SOURCES)
+    assert executable_fingerprint(result.executable) == expected
 
 
 # -- one cache shared by many schedulers (the compile service) ---------

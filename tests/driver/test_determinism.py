@@ -112,3 +112,29 @@ def test_recompilation_in_same_scheduler_is_identical():
             scheduler.compile_with_database(phase1, database)
         )
     assert first == second
+
+
+def test_phase2_leaves_shared_phase1_results_untouched():
+    """One phase-1 result list feeds config A, then E: both executables
+    match builds from fresh phase-1 results, and no IR blob changes."""
+    sources = get_workload("othello").sources
+
+    def build(scheduler, phase1, config):
+        database = scheduler.analyze(
+            [result.summary for result in phase1],
+            AnalyzerOptions.config(config),
+        )
+        return executable_fingerprint(
+            scheduler.compile_with_database(phase1, database)
+        )
+
+    with CompilationScheduler() as scheduler:
+        shared = scheduler.run_phase1(sources)
+        blobs = [result.ir_blob for result in shared]
+        reused = [build(scheduler, shared, config) for config in "AE"]
+        fresh = [
+            build(scheduler, scheduler.run_phase1(sources), config)
+            for config in "AE"
+        ]
+    assert reused == fresh
+    assert [result.ir_blob for result in shared] == blobs

@@ -161,3 +161,20 @@ def test_locations_track_lines_and_columns():
 def test_location_module_name():
     tokens = tokenize("x", module_name="mymod")
     assert tokens[0].location.module == "mymod"
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
+def test_non_ascii_digit_rejected_at_its_location(digit):
+    # str.isdigit() accepts both ('²' superscript two, '١' Arabic-Indic
+    # one); number literals take ASCII digits only.
+    for source, column in ((f"int x = {digit};", 9), (f"x = 1{digit};", 6)):
+        with pytest.raises(LexError) as error:
+            tokenize(source)
+        assert error.value.message == f"unexpected character {digit!r}"
+        assert error.value.location.column == column
+
+
+def test_non_ascii_letters_lex_as_identifier():
+    tokens = tokenize("int été = 1;")
+    assert tokens[1].kind is TokenKind.IDENT
+    assert tokens[1].text == "été"

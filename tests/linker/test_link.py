@@ -5,7 +5,13 @@ import pytest
 from repro.analyzer.database import ProgramDatabase
 from repro.backend.phase2 import compile_module_phase2
 from repro.frontend.phase1 import compile_module_phase1
-from repro.linker.link import DATA_BASE, LinkError, link
+from repro.linker.link import (
+    DATA_BASE,
+    LinkError,
+    _instruction_fields,
+    executable_fingerprint,
+    link,
+)
 from repro.target import isa
 
 
@@ -170,3 +176,39 @@ def test_linking_is_repeatable():
     assert len(exe1.instructions) == len(exe2.instructions)
     for a, b in zip(exe1.instructions, exe2.instructions):
         assert repr(a) == repr(b)
+
+
+def test_link_leaves_object_instructions_untouched():
+    """Relocation copies the instructions it rewrites and shares the
+    rest: linking twice gives the same image, and every object-module
+    instruction keeps every field it had."""
+    objects = compile_objects({
+        "a": (
+            "int g; int twice(int x) { return x + x; }\n"
+            "int loop(int n) { int i; int s; s = 0;"
+            " for (i = 0; i < n; i++) s += twice(i); g = s; return s; }"
+        ),
+        "b": (
+            "extern int g; extern int loop(int);\n"
+            "int main() { int *f = &loop; int *q = &g; print(f(4)); "
+            "return *q; }"
+        ),
+    })
+
+    def fields():
+        return [
+            [
+                (type(instruction).__name__, _instruction_fields(instruction))
+                for instruction in function.instructions
+            ]
+            for obj in objects
+            for function in obj.functions
+        ]
+
+    before = fields()
+    kinds = {kind for function in before for kind, _fields in function}
+    assert {"B", "BC", "BL", "LDA"} <= kinds
+    first = executable_fingerprint(link(objects))
+    second = executable_fingerprint(link(objects))
+    assert first == second
+    assert fields() == before
