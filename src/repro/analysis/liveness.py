@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, TypeVar
 
 from repro.analysis.packed import iter_bits
+from repro.ir.instructions import Call, CallIndirect, Return
+from repro.ir.values import Temp
 
 Value = TypeVar("Value", bound=Hashable)
 
@@ -257,8 +259,6 @@ class _CallProxy:
 
 
 def _is_user_call(instruction) -> bool:
-    from repro.ir.instructions import Call, CallIndirect
-
     if isinstance(instruction, CallIndirect):
         return True
     return isinstance(instruction, Call) and not instruction.is_builtin
@@ -271,9 +271,6 @@ def compute_ir_liveness(function) -> LivenessResult:
     every return: the register's value is the global variable as far as
     callers are concerned.
     """
-    from repro.ir.instructions import Return
-    from repro.ir.values import Temp
-
     pinned = list(function.pinned_temps)
 
     def block_instructions(label: str) -> list:

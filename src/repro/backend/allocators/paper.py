@@ -52,8 +52,10 @@ _MAX_ROUNDS = 24
 @dataclass
 class _NodeInfo:
     vreg: isa.VReg
-    neighbors: set = field(default_factory=set)  # other vregs
-    forbidden: set = field(default_factory=set)  # physical registers
+    bit: int = 0  # this vreg's bit in the function's value index
+    # Over the same index: the vregs this one interferes with, and the
+    # physical registers it may not take.
+    interferes: int = 0
     cost: float = 0.0
     live_across_call: bool = False
     is_spill_temp: bool = False
@@ -67,8 +69,8 @@ def allocate_function(machine: MachineFunction) -> None:
     """Allocate registers in place; sets ``machine.used_registers``."""
     spilled_ever: set = set()
     for _ in range(_MAX_ROUNDS):
-        nodes = _build_interference(machine)
-        assignment, spills = _color(machine, nodes)
+        nodes, values = _build_interference(machine)
+        assignment, spills = _color(machine, nodes, values)
         if not spills:
             rewrite(machine, assignment)
             used = set(assignment.values()) | set(
@@ -105,8 +107,9 @@ register_allocator(PaperAllocator())
 # ---------------------------------------------------------------------------
 
 
-def _build_interference(machine: MachineFunction) -> dict:
-    """Every vreg's node: interference, move partners and spill cost.
+def _build_interference(machine: MachineFunction) -> tuple[dict, list]:
+    """Every vreg's node (interference, move partners and spill cost),
+    and the value index its masks are over: position -> tracked value.
 
     One forward pass indexes the tracked values (vregs and allocatable
     physical registers), encodes each instruction's tracked defs and
@@ -114,7 +117,7 @@ def _build_interference(machine: MachineFunction) -> dict:
     solved on the block masks; a backward walk per block then ORs the
     live set into each def's row, where adding one edge per live value
     would cost a call per pair.  Rows are made symmetric once at the
-    end and decoded into the node sets.
+    end and stay masks: colouring only tests them.
     """
     values: list = []  # position -> tracked value
     vreg_bits = 0  # the positions that hold vregs
@@ -235,21 +238,12 @@ def _build_interference(machine: MachineFunction) -> dict:
             adjacency[low.bit_length() - 1] |= physical_bits
             row ^= low
 
-    def decode(mask: int) -> set:
-        items = set()
-        while mask:
-            low = mask & -mask
-            items.add(values[low.bit_length() - 1])
-            mask ^= low
-        return items
-
     for vreg, info in nodes.items():
         _info, bit, position = known[vreg]
-        row = adjacency[position]
-        info.neighbors = decode(row & vreg_bits)
-        info.forbidden = decode(row & ~vreg_bits)
+        info.bit = bit
+        info.interferes = adjacency[position]
         info.live_across_call = bool(across & bit)
-    return nodes
+    return nodes, values
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +268,28 @@ def _pools(machine: MachineFunction) -> tuple[list[int], list[int]]:
     return across_pool, normal_pool
 
 
-def _color(machine: MachineFunction, nodes: dict) -> tuple[dict, list]:
+def _color(
+    machine: MachineFunction, nodes: dict, values: list
+) -> tuple[dict, list]:
     across_pool, normal_pool = _pools(machine)
     assignment: dict[isa.VReg, int] = dict(machine.precolored)
     spills: list[isa.VReg] = []
+    # register -> its own bit in the value index (if tracked) and the
+    # bits of the vregs holding it: a node may not take a register its
+    # mask meets.
+    holding: dict[int, int] = dict.fromkeys(across_pool + normal_pool, 0)
+    for position, value in enumerate(values):
+        if type(value) is int:
+            holding[value] = 1 << position
+    for vreg, register in assignment.items():
+        if vreg in nodes:
+            holding[register] = holding.get(register, 0) | nodes[vreg].bit
     order = sorted(
         (info for vreg, info in nodes.items() if vreg not in assignment),
         key=lambda info: (-info.cost, info.vreg.uid),
     )
     for info in order:
-        taken = set(info.forbidden)
-        for neighbor in info.neighbors:
-            if neighbor in assignment:
-                taken.add(assignment[neighbor])
+        row = info.interferes
         pool = across_pool if info.live_across_call else normal_pool
         # Move-biased choice: a move partner's register (when legal and
         # in the pool) coalesces the copy away at rewrite time.
@@ -295,16 +298,20 @@ def _color(machine: MachineFunction, nodes: dict) -> tuple[dict, list]:
             if partner in assignment:
                 preferred.add(assignment[partner])
         chosen = next(
-            (r for r in pool if r in preferred and r not in taken), None
+            (r for r in pool if r in preferred and not row & holding[r]),
+            None,
         )
         if chosen is None:
-            chosen = next((r for r in pool if r not in taken), None)
+            chosen = next((r for r in pool if not row & holding[r]), None)
         if chosen is None and info.is_spill_temp:
             # A spill temp cannot be spilled again: take a register
             # from a neighbour and spill that neighbour instead.
-            victim = _spill_victim(machine, nodes, info, pool, assignment)
+            victim = _spill_victim(
+                machine, nodes, values, info, pool, holding
+            )
             if victim is not None:
                 chosen = assignment.pop(victim)
+                holding[chosen] &= ~nodes[victim].bit
                 spills.append(victim)
         if chosen is None:
             if info.is_spill_temp:  # pragma: no cover - defensive
@@ -314,31 +321,34 @@ def _color(machine: MachineFunction, nodes: dict) -> tuple[dict, list]:
             spills.append(info.vreg)
         else:
             assignment[info.vreg] = chosen
+            holding[chosen] |= info.bit
     return assignment, spills
 
 
 def _spill_victim(
-    machine: MachineFunction, nodes: dict, info: _NodeInfo, pool: list,
-    assignment: dict,
+    machine: MachineFunction, nodes: dict, values: list, info: _NodeInfo,
+    pool: list, holding: dict,
 ):
     """The neighbour of spill temp ``info`` whose spilling frees a
     register for it, or ``None``: the cheapest coloured neighbour that
     is neither precoloured nor a spill temp and is the only neighbour
     holding a register of ``pool`` that ``info`` is not forbidden."""
-    holders: dict[int, list] = {}
-    for neighbor in info.neighbors:
-        register = assignment.get(neighbor)
-        if register is not None:
-            holders.setdefault(register, []).append(neighbor)
-    candidates = [
-        nodes[held[0]]
-        for register, held in holders.items()
-        if len(held) == 1
-        and register in pool
-        and register not in info.forbidden
-        and held[0] not in machine.precolored
-        and not nodes[held[0]].is_spill_temp
-    ]
+    row = info.interferes
+    candidates = []
+    for register in pool:
+        held = row & holding[register]
+        # One bit: a single neighbour holds the register, or it is
+        # forbidden and no neighbour holds it (the bit is then the
+        # register's own and names no vreg).
+        if not held or held & (held - 1):
+            continue
+        neighbor = values[held.bit_length() - 1]
+        if (
+            type(neighbor) is isa.VReg
+            and neighbor not in machine.precolored
+            and not nodes[neighbor].is_spill_temp
+        ):
+            candidates.append(nodes[neighbor])
     if not candidates:
         return None
     return min(candidates, key=lambda node: (node.cost, node.vreg.uid)).vreg

@@ -8,10 +8,7 @@ for user-program problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SourceLocation:
     """A position within a source module.
 
@@ -19,11 +16,36 @@ class SourceLocation:
         module: Name of the module (compilation unit) being compiled.
         line: 1-based line number.
         column: 1-based column number.
+
+    Compared, hashed and shown by its fields, like a frozen dataclass,
+    but built with plain slot stores: the lexer makes one per token.
     """
 
-    module: str = "<unknown>"
-    line: int = 0
-    column: int = 0
+    __slots__ = ("module", "line", "column")
+
+    def __init__(
+        self, module: str = "<unknown>", line: int = 0, column: int = 0
+    ):
+        self.module = module
+        self.line = line
+        self.column = column
+
+    def _fields(self) -> tuple:
+        return (self.module, self.line, self.column)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SourceLocation(module={self.module!r}, line={self.line!r}, "
+            f"column={self.column!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.module}:{self.line}:{self.column}"

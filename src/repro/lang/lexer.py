@@ -79,8 +79,7 @@ _TOKEN = re.compile(
     # Letters, '_', and the non-decimal numerics (such as superscripts)
     # that ``\w`` also admits; the last are rejected after the match.
     r"|(?P<word>[^\W\d]\w*)"
-    # A '0' that ends the input reads as a hex prefix without digits.
-    r"|(?P<hex>0(?:[xX]|\Z)(?P<hex_digits>[0-9a-fA-F]*))"
+    r"|(?P<hex>0[xX](?P<hex_digits>[0-9a-fA-F]*))"
     r"|(?P<decimal>[0-9]+)"
     r"|(?P<char>')"
     r"|(?P<string>\")"

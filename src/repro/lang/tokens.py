@@ -9,7 +9,6 @@ structured control flow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.lang.errors import SourceLocation
 
@@ -98,7 +97,6 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
@@ -108,12 +106,38 @@ class Token:
         value: Decoded value for literals (int for INT/CHAR literals,
             str for STRING literals); ``None`` otherwise.
         location: Where the token begins.
+
+    Compared, hashed and shown by its fields, like a frozen dataclass,
+    but built with plain slot stores.
     """
 
-    kind: TokenKind
-    text: str
-    location: SourceLocation
-    value: object = None
+    __slots__ = ("kind", "text", "location", "value")
+
+    def __init__(
+        self, kind: TokenKind, text: str, location: SourceLocation,
+        value: object = None,
+    ):
+        self.kind = kind
+        self.text = text
+        self.location = location
+        self.value = value
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.text, self.location, self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(kind={self.kind!r}, text={self.text!r}, "
+            f"location={self.location!r}, value={self.value!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.backend.object import ObjectModule
 from repro.ir.module import GlobalVar
@@ -79,14 +80,53 @@ class Executable:
         return len(self.instructions)
 
 
-def _instruction_fields(instruction) -> dict:
-    """Every slot of an instruction, including linker-resolved ones."""
-    fields = {}
-    for klass in type(instruction).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if hasattr(instruction, slot):
-                fields[slot] = getattr(instruction, slot)
-    return fields
+#: ``json.dumps(value, sort_keys=True)``.
+_dumps = json.JSONEncoder(sort_keys=True).encode
+
+#: The same text, without a trip through the encoder, for the types
+#: instruction slots hold.
+_SLOT_JSON = {
+    int: int.__repr__,
+    str: _quote,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+#: instruction class -> (its slot names in sorted order, a ``%``
+#: template of its JSON text with one ``%s`` per slot value).
+_INSTRUCTION_FORMATS: dict = {}
+
+
+def _instruction_format(kind: type) -> tuple:
+    names = set()
+    for klass in kind.__mro__:
+        names.update(getattr(klass, "__slots__", ()))
+    names = tuple(sorted(names))
+    fields = ", ".join(f"[{_quote(name)}, %s]" for name in names)
+    template = f"[{_quote(kind.__name__)}, [{fields}]]"
+    _INSTRUCTION_FORMATS[kind] = entry = (names, template)
+    return entry
+
+
+def _instruction_json(instruction) -> str:
+    """``[class name, [[slot, value], ...]]`` over the set slots, in
+    sorted order, as ``json.dumps`` writes it."""
+    kind = type(instruction)
+    names, template = (
+        _INSTRUCTION_FORMATS.get(kind) or _instruction_format(kind)
+    )
+    values = []
+    try:
+        for name in names:
+            value = getattr(instruction, name)
+            values.append(_SLOT_JSON.get(type(value), _dumps)(value))
+    except AttributeError:
+        # An unset slot is left out of the image.
+        return _dumps([kind.__name__, [
+            [name, getattr(instruction, name)]
+            for name in names if hasattr(instruction, name)
+        ]])
+    return template % tuple(values)
 
 
 def serialize_executable(executable: Executable) -> bytes:
@@ -97,27 +137,33 @@ def serialize_executable(executable: Executable) -> bytes:
     symbol tables).  Two executables are behaviorally identical iff
     their images are byte-identical, which is what the determinism
     suite asserts across cold/warm-cache builds.
+
+    The image is the text ``json.dumps(payload, sort_keys=True)`` gives
+    for ``payload = {"entry_pc", "data_base", "instructions",
+    "data_words", "function_entries", "global_addresses",
+    "function_ranges"}``, each instruction ``[class name, [[slot,
+    value], ...]]`` over its set slots in sorted order.  It is written
+    directly: the keys in sorted order, and each instruction through a
+    cached template of its class.
     """
-    instructions = [
-        [type(instruction).__name__, sorted(
-            (name, value if not isinstance(value, list) else list(value))
-            for name, value in _instruction_fields(instruction).items()
-        )]
-        for instruction in executable.instructions
+    ranges = [
+        [rng.name, rng.start, rng.end, rng.source_module]
+        for rng in executable.function_ranges
     ]
-    payload = {
-        "entry_pc": executable.entry_pc,
-        "data_base": executable.data_base,
-        "instructions": instructions,
-        "data_words": list(executable.data_words),
-        "function_entries": dict(executable.function_entries),
-        "global_addresses": dict(executable.global_addresses),
-        "function_ranges": [
-            [rng.name, rng.start, rng.end, rng.source_module]
-            for rng in executable.function_ranges
-        ],
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+    text = (
+        '{"data_base": %s, "data_words": %s, "entry_pc": %s, '
+        '"function_entries": %s, "function_ranges": %s, '
+        '"global_addresses": %s, "instructions": [%s]}'
+    ) % (
+        _dumps(executable.data_base),
+        _dumps(list(executable.data_words)),
+        _dumps(executable.entry_pc),
+        _dumps(dict(executable.function_entries)),
+        _dumps(ranges),
+        _dumps(dict(executable.global_addresses)),
+        ", ".join(map(_instruction_json, executable.instructions)),
+    )
+    return text.encode("utf-8")
 
 
 def executable_fingerprint(executable: Executable) -> str:

@@ -9,6 +9,7 @@ cleanup pass then exploits.
 
 from __future__ import annotations
 
+from repro.analysis.liveness import _is_user_call
 from repro.ir import arith
 from repro.ir.function import IRFunction
 from repro.ir.instructions import BinOp, CJump, Jump, Move, UnOp
@@ -16,61 +17,64 @@ from repro.ir.values import Const, Operand, Temp
 
 
 def run(function: IRFunction) -> bool:
-    """Run the pass; returns True if anything changed."""
-    from repro.analysis.liveness import _is_user_call
+    """Run the pass; returns True if anything changed.
 
+    The environment maps temps to the constants last moved into them,
+    so a redefinition only has to drop the redefined temp's own entry.
+    """
     changed = False
-    pinned = set(function.pinned_temps)
+    pinned = function.pinned_temps
     for block in function.blocks.values():
-        env: dict[Temp, Operand] = {}
+        env: dict[Temp, Const] = {}
         new_instructions = []
         for instruction in block.instructions:
-            if pinned and _is_user_call(instruction):
-                # The callee may rewrite promoted globals' registers, so
-                # constants cached in pinned temps are stale afterwards.
-                for temp in pinned:
-                    env.pop(temp, None)
-            instruction.replace_uses(env)
-            replacement = _simplify(function, instruction)
-            if replacement is not instruction:
+            kind = type(instruction)
+            if env:
+                if pinned and _is_user_call(instruction):
+                    # The callee may rewrite promoted globals'
+                    # registers, so constants cached in pinned temps
+                    # are stale afterwards.
+                    for temp in pinned:
+                        env.pop(temp, None)
+                instruction.replace_uses(env)
+            if kind is BinOp:
+                lhs, rhs = instruction.lhs, instruction.rhs
+                # Only a constant operand, or one temp used twice, can
+                # simplify.
+                if type(lhs) is Const or type(rhs) is Const or lhs is rhs:
+                    replacement = _simplify_binop(instruction)
+                    if replacement is not instruction:
+                        changed = True
+                        instruction = replacement
+                        kind = Move
+            elif kind is UnOp and type(instruction.operand) is Const:
+                value = arith.eval_unop(
+                    instruction.op, instruction.operand.value
+                )
+                instruction = Move(instruction.dst, Const(value))
                 changed = True
-                instruction = replacement
-            # Invalidate anything the instruction redefines.
-            for defined in instruction.defs():
-                env.pop(defined, None)
-                # Drop stale copies that referenced the redefined temp.
-                stale = [k for k, v in env.items() if v == defined]
-                for key in stale:
-                    del env[key]
-            if isinstance(instruction, Move) and isinstance(
-                instruction.src, Const
-            ):
+                kind = Move
+            if env:
+                # Invalidate anything the instruction redefines.
+                for defined in instruction.defs():
+                    env.pop(defined, None)
+            if kind is Move and type(instruction.src) is Const:
                 env[instruction.dst] = instruction.src
             new_instructions.append(instruction)
         block.instructions = new_instructions
-        if block.terminator is not None:
-            block.terminator.replace_uses(env)
-            if isinstance(block.terminator, CJump) and isinstance(
-                block.terminator.cond, Const
-            ):
+        terminator = block.terminator
+        if terminator is not None:
+            if env:
+                terminator.replace_uses(env)
+            if type(terminator) is CJump and type(terminator.cond) is Const:
                 taken = (
-                    block.terminator.true_target
-                    if block.terminator.cond.value != 0
-                    else block.terminator.false_target
+                    terminator.true_target
+                    if terminator.cond.value != 0
+                    else terminator.false_target
                 )
                 block.terminator = Jump(taken)
                 changed = True
     return changed
-
-
-def _simplify(function: IRFunction, instruction):
-    """Return a simplified instruction, or the original if unchanged."""
-    if isinstance(instruction, BinOp):
-        return _simplify_binop(instruction)
-    if isinstance(instruction, UnOp) and isinstance(instruction.operand, Const):
-        value = arith.eval_unop(instruction.op, instruction.operand.value)
-        return Move(instruction.dst, Const(value))
-    return instruction
 
 
 def _simplify_binop(instruction: BinOp):

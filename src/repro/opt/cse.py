@@ -12,78 +12,86 @@ same value and the same (possible) trap, and the first occurrence is kept.
 
 from __future__ import annotations
 
+from repro.analysis.liveness import _is_user_call
 from repro.ir.function import IRFunction
 from repro.ir.instructions import BinOp, FrameAddr, LoadAddr, Move, UnOp
-from repro.ir.values import Const, Operand, Temp
-
-
-def _operand_key(operand: Operand):
-    if isinstance(operand, Const):
-        return ("const", operand.value)
-    return ("temp", id(operand))
-
-
-def _expression_key(instruction):
-    """A hashable key identifying the computation, or None if not pure."""
-    if isinstance(instruction, BinOp):
-        return (
-            "bin",
-            instruction.op,
-            _operand_key(instruction.lhs),
-            _operand_key(instruction.rhs),
-        )
-    if isinstance(instruction, UnOp):
-        return ("un", instruction.op, _operand_key(instruction.operand))
-    if isinstance(instruction, LoadAddr):
-        return ("addr", instruction.symbol, instruction.is_function)
-    if isinstance(instruction, FrameAddr):
-        return ("frame", id(instruction.slot))
-    return None
+from repro.ir.values import Const, Temp
 
 
 def run(function: IRFunction) -> bool:
-    """Run the pass; returns True if any expression was reused."""
-    from repro.analysis.liveness import _is_user_call
+    """Run the pass; returns True if any expression was reused.
 
+    An expression key holds its operands as they compare: a constant
+    by its value, a temp as itself (temps compare by identity).  Two
+    reverse maps, from a temp to the keys that use it and to the keys
+    whose cached result it holds, find every stale key of a
+    redefinition without scanning the available expressions; entries
+    may outlive their key, so each is checked before it is dropped.
+    """
     changed = False
-    pinned = set(function.pinned_temps)
+    pinned = function.pinned_temps
     for block in function.blocks.values():
         available: dict[tuple, Temp] = {}
-        keys_mentioning: dict[int, list[tuple]] = {}
+        keys_using: dict[Temp, list[tuple]] = {}
+        keys_held_by: dict[Temp, list[tuple]] = {}
         new_instructions = []
         for instruction in block.instructions:
-            if pinned and _is_user_call(instruction):
-                # Expressions over promoted globals' registers, and cached
-                # results living in them, are stale after a call.
-                for temp in pinned:
-                    for stale in keys_mentioning.pop(id(temp), []):
-                        available.pop(stale, None)
-                result_stale = [
-                    k for k, v in available.items() if v in pinned
-                ]
-                for stale in result_stale:
-                    available.pop(stale, None)
-            key = _expression_key(instruction)
-            if key is not None and key in available:
-                instruction = Move(instruction.defs()[0], available[key])
+            kind = type(instruction)
+            if kind is BinOp:
+                lhs, rhs = instruction.lhs, instruction.rhs
+                key = (
+                    "bin", instruction.op,
+                    lhs.value if type(lhs) is Const else lhs,
+                    rhs.value if type(rhs) is Const else rhs,
+                )
+            elif kind is UnOp:
+                operand = instruction.operand
+                key = (
+                    "un", instruction.op,
+                    operand.value if type(operand) is Const else operand,
+                )
+            elif kind is LoadAddr:
+                key = ("addr", instruction.symbol, instruction.is_function)
+            elif kind is FrameAddr:
+                key = ("frame", id(instruction.slot))
+            else:
                 key = None
-                changed = True
-            for defined in instruction.defs():
-                # Expressions using the redefined temp are stale, as are
-                # expressions whose cached result it was.
-                for stale in keys_mentioning.pop(id(defined), []):
-                    available.pop(stale, None)
-                result_stale = [
-                    k for k, v in available.items() if v is defined
-                ]
-                for stale in result_stale:
-                    available.pop(stale, None)
+                if available and pinned and _is_user_call(instruction):
+                    # Expressions over promoted globals' registers, and
+                    # cached results living in them, are stale after a
+                    # call.
+                    for temp in pinned:
+                        _forget(available, keys_using, keys_held_by, temp)
             if key is not None:
-                result = instruction.defs()[0]
-                available[key] = result
-                for used in instruction.uses():
-                    if isinstance(used, Temp):
-                        keys_mentioning.setdefault(id(used), []).append(key)
+                result = instruction.dst
+                cached = available.get(key)
+                if cached is not None:
+                    instruction = Move(result, cached)
+                    key = None
+                    changed = True
+                if result in keys_using or result in keys_held_by:
+                    _forget(available, keys_using, keys_held_by, result)
+                if key is not None:
+                    available[key] = result
+                    keys_held_by.setdefault(result, []).append(key)
+                    for used in key[2:]:
+                        if type(used) is Temp:
+                            keys_using.setdefault(used, []).append(key)
+            elif available:
+                for defined in instruction.defs():
+                    if defined in keys_using or defined in keys_held_by:
+                        _forget(available, keys_using, keys_held_by, defined)
             new_instructions.append(instruction)
         block.instructions = new_instructions
     return changed
+
+
+def _forget(
+    available: dict, keys_using: dict, keys_held_by: dict, temp: Temp
+) -> None:
+    """Drop every expression that uses ``temp`` or is cached in it."""
+    for key in keys_using.pop(temp, ()):
+        available.pop(key, None)
+    for key in keys_held_by.pop(temp, ()):
+        if available.get(key) is temp:
+            del available[key]

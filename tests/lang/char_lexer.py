@@ -159,7 +159,7 @@ class Lexer:
 
     def _lex_number(self, location: SourceLocation) -> Token:
         start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
+        if self._peek() == "0" and self._peek(1) in ("x", "X"):
             self._advance(2)
             if not self._is_hex_digit(self._peek()):
                 raise LexError("malformed hexadecimal literal", location)

@@ -42,6 +42,17 @@ def test_hex_literal_requires_digits():
         tokenize("0x")
 
 
+@pytest.mark.parametrize("source", ["0", "int x = 0", "return 0"])
+def test_zero_at_end_of_input_is_decimal(source):
+    tokens = tokenize(source)
+    assert tokens[-1].kind is TokenKind.EOF
+    zero = tokens[-2]
+    assert (zero.kind, zero.text, zero.value) == (
+        TokenKind.INT_LITERAL, "0", 0
+    )
+    assert zero.location.column == len(source)
+
+
 def test_identifier_cannot_start_with_digit():
     with pytest.raises(LexError):
         tokenize("123abc")
@@ -178,3 +189,18 @@ def test_non_ascii_letters_lex_as_identifier():
     tokens = tokenize("int été = 1;")
     assert tokens[1].kind is TokenKind.IDENT
     assert tokens[1].text == "été"
+
+
+def test_tokens_compare_hash_and_show_by_fields():
+    first, second = tokenize("x 0x1F"), tokenize("x 0x1F")
+    assert first == second
+    assert hash(first[1]) == hash(second[1])
+    assert first[0] != first[1]
+    assert first[0] != ("x",)
+    assert repr(first[1]) == (
+        "Token(kind=<TokenKind.INT_LITERAL: 'integer literal'>, "
+        "text='0x1F', location=SourceLocation(module='<input>', line=1, "
+        "column=3), value=31)"
+    )
+    assert str(first[1]) == "INT_LITERAL('0x1F')"
+    assert str(first[1].location) == "<input>:1:3"

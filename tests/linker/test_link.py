@@ -8,11 +8,11 @@ from repro.frontend.phase1 import compile_module_phase1
 from repro.linker.link import (
     DATA_BASE,
     LinkError,
-    _instruction_fields,
     executable_fingerprint,
     link,
 )
 from repro.target import isa
+from tests.linker.json_image import _instruction_fields
 
 
 def compile_objects(modules, opt_level=2):

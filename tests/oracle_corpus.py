@@ -1,8 +1,9 @@
 """The programs the exactness oracles sweep.
 
-The DCE, interference and lexer oracles (``tests/opt/sweep_dce.py``,
-``tests/backend/set_interference.py``, ``tests/lang/char_lexer.py``)
-are compared with ``src/`` over:
+The local-pass, DCE, interference, lexer and executable-image oracles
+(``tests/opt/scan_passes.py``, ``tests/opt/sweep_dce.py``,
+``tests/backend/set_interference.py``, ``tests/lang/char_lexer.py``,
+``tests/linker/json_image.py``) are compared with ``src/`` over:
 
 * the seven workloads at -O1 and -O2;
 * the progen seeds of the fuzz sweep (``SEEDS``, which
