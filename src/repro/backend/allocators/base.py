@@ -20,10 +20,9 @@ Three strategies ship in-tree (see ``docs/ALLOCATORS.md``):
   Bouchez/Darte/Rastello-style lower bound
   (:mod:`repro.backend.allocators.spilleverywhere`).
 
-Selection mirrors the simulator's ``REPRO_SIM`` knob: pass a name to
-:func:`get_allocator` / the driver entry points, or set the
-``REPRO_ALLOCATOR`` environment variable; ``None`` falls back to the
-environment and then the default.
+Selection: pass a name to :func:`get_allocator` / the driver entry
+points, or set the ``REPRO_ALLOCATOR`` environment variable; ``None``
+falls back to the environment and then the default.
 """
 
 from __future__ import annotations

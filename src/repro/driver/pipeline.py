@@ -47,8 +47,7 @@ def default_scheduler():
     post-link allocation auditor (:mod:`repro.verify.auditor`) on every
     linked executable, ``REPRO_CACHE_MAX_BYTES`` caps the artifact
     cache's on-disk size, and ``REPRO_ALLOCATOR`` picks the phase-2
-    allocation strategy (read at each compilation, like ``REPRO_SIM``
-    for the simulator).
+    allocation strategy (read at each compilation).
     """
     global _default_scheduler
     if _default_scheduler is None:
@@ -166,7 +165,7 @@ def collect_profile(
     """The gprof step: run the level-2 binary and harvest call counts.
 
     ``backend`` picks the simulator backend for the profiling run
-    (``None`` defers to ``REPRO_SIM`` and the module default).
+    (``None`` means the module default).
     """
     executable = compile_with_database(
         phase1_results, ProgramDatabase(), opt_level, scheduler

@@ -22,27 +22,28 @@ Execution is delegated to one of two pluggable backends behind the
 :class:`Simulator` facade (see ``docs/SIMULATOR.md``):
 
 * ``reference`` — instructions are pre-decoded into flat tuples with
-  integer opcodes and an interpreter loop dispatches on those.  This is
-  the semantic baseline every other backend must match bit for bit.
+  integer opcodes and :func:`step_reference` dispatches on those, one
+  instruction at a time.  This is the semantic baseline every other
+  backend must match bit for bit.
 * ``compiled`` — the threaded-code backend in
   :mod:`repro.machine.compiled`: basic blocks of decoded instructions
   are compiled to specialized Python closures (operands, costs, and
   stats increments folded in as constants) chained by returned program
-  counters, with a reference-semantics tail interpreter taking over
-  near the cycle limit so faults and :class:`ExecutionLimitExceeded`
-  land on the identical instruction boundary.
+  counters.  Near the cycle limit it hands the run to
+  :func:`step_reference` itself, so faults and
+  :class:`ExecutionLimitExceeded` land on the identical instruction
+  boundary.
 
-The default backend is ``compiled``; set ``REPRO_SIM=reference`` (or
-pass ``backend=``) to select explicitly.  All arithmetic matches
-:mod:`repro.ir.arith` (32-bit two's complement, C semantics).
+Both backends start from one :class:`_Machine` and finish through it,
+so the result is assembled in one place.  The default backend is
+``compiled``; pass ``backend=`` to select explicitly.  All arithmetic
+matches :mod:`repro.ir.arith` (32-bit two's complement, C semantics).
 """
 
 from __future__ import annotations
 
-import os
-
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.linker.link import Executable
 from repro.obs.tracer import current_tracer
@@ -52,21 +53,14 @@ from repro.target.registers import NUM_REGISTERS, RP, RV, SP
 _WORD_MASK = 0xFFFFFFFF
 _INT_MAX = 0x7FFFFFFF
 
-#: Execution backends selectable via ``Simulator(backend=...)`` or the
-#: ``REPRO_SIM`` environment variable.
+#: Execution backends selectable via ``Simulator(backend=...)``.
 BACKENDS = ("compiled", "reference")
 DEFAULT_BACKEND = "compiled"
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Validate an explicit backend name or fall back to ``REPRO_SIM``.
-
-    ``None`` consults the ``REPRO_SIM`` environment variable and then
-    the module default, so one environment knob steers every simulation
-    in the process (convenience wrappers, profiling runs, benchmarks).
-    """
-    name = backend or os.environ.get("REPRO_SIM") or DEFAULT_BACKEND
-    name = name.strip().lower()
+    """Validate an explicit backend name; ``None`` means the default."""
+    name = (backend or DEFAULT_BACKEND).strip().lower()
     if name not in BACKENDS:
         raise ValueError(
             f"unknown simulator backend {name!r}; expected one of "
@@ -292,6 +286,31 @@ class ConventionViolation(MachineError):
     """
 
 
+def _preserved_registers(clobbers, volatile) -> tuple:
+    """The registers a convention-checked call must leave untouched."""
+    return tuple(
+        i for i in range(NUM_REGISTERS)
+        if i != RP and i not in clobbers and i not in volatile
+    )
+
+
+def _check_return(frames: list, regs: list, pc: int) -> None:
+    """Pop the innermost convention frame at a return to ``pc`` and
+    verify the callee left every preserved register untouched."""
+    ret_pc, callee, preserved, values = frames.pop()
+    if ret_pc == pc:
+        for register, value in zip(preserved, values):
+            if regs[register] != value:
+                raise ConventionViolation(
+                    f"call to {callee} destroyed "
+                    f"register r{register} "
+                    f"({value} -> {regs[register]}) "
+                    f"not in its clobber set"
+                )
+    else:  # pragma: no cover - no tail calls exist
+        frames.append((ret_pc, callee, preserved, values))
+
+
 def _flush_proc(per_proc, name, cycles, instructions, loads, stores,
                 save_restore, marks) -> None:
     """Attribute the counter deltas since the last call boundary to the
@@ -311,12 +330,293 @@ def _flush_proc(per_proc, name, cycles, instructions, loads, stores,
     marks[4] = save_restore
 
 
+class _Machine:
+    """The mutable state of one run, shared by both backends.
+
+    Registers, memory (data segment loaded, ``SP`` at the top), the
+    output, the logical call stack, the call-edge counter, the
+    convention frames (``check_conventions`` runs only) and the
+    per-procedure attribution (``track`` runs only).  The seven run
+    counters travel beside it as a list in :class:`ExecutionStats`
+    field order: cycles, instructions, loads, stores, singleton loads,
+    singleton stores, save/restore executions.
+    """
+
+    __slots__ = ("regs", "memory", "output", "call_stack", "call_edges",
+                 "frames", "track", "per_proc", "marks")
+
+    def __init__(self, simulator: "Simulator", track: bool):
+        executable = simulator.executable
+        self.regs = [0] * NUM_REGISTERS
+        self.regs[SP] = simulator.memory_words
+        self.memory = [0] * simulator.memory_words
+        base = executable.data_base
+        data_words = executable.data_words
+        self.memory[base:base + len(data_words)] = data_words
+        self.output: list = []
+        self.call_stack = ["<stub>"]
+        self.call_edges: Counter = Counter()
+        self.frames: list | None = (
+            [] if simulator.check_conventions else None
+        )
+        self.track = track
+        self.per_proc: dict = {}
+        self.marks = [0, 0, 0, 0, 0]
+
+    def finish(self, ctr: list, tracer) -> ExecutionStats:
+        """The statistics of a run that reached HALT with counters
+        ``ctr``.  Call counts are the per-callee marginal of the call
+        edges; with ``track``, the instructions since the last call
+        boundary (including the HALT itself) belong to the procedure
+        on top of the stack."""
+        call_counts: Counter = Counter()
+        for (_caller, callee), count in self.call_edges.items():
+            call_counts[callee] += count
+        stats = ExecutionStats(
+            *ctr,
+            call_counts=call_counts,
+            call_edges=self.call_edges,
+            output="".join(self.output),
+            exit_code=self.regs[RV],
+        )
+        if not self.track:
+            return stats
+        _flush_proc(self.per_proc, self.call_stack[-1], ctr[0], ctr[1],
+                    ctr[2], ctr[3], ctr[6], self.marks)
+        stats.per_procedure = {
+            name: ProcedureStats(*entry)
+            for name, entry in sorted(self.per_proc.items())
+        }
+        if tracer.enabled:
+            tracer.event(
+                "execution",
+                cycles=stats.cycles,
+                instructions=stats.instructions,
+                memory_references=stats.memory_references,
+                singleton_references=stats.singleton_references,
+                save_restore_executed=stats.save_restore_executed,
+                exit_code=stats.exit_code,
+                per_procedure={
+                    name: asdict(entry)
+                    for name, entry in stats.per_procedure.items()
+                },
+            )
+        return stats
+
+
+def step_reference(simulator: "Simulator", machine: _Machine, pc: int,
+                   ctr: list, max_cycles: int) -> None:
+    """Execute one instruction at a time from ``pc`` until HALT.
+
+    The semantic baseline: the reference backend runs a whole program
+    through it from ``entry_pc`` with zeroed counters, and the compiled
+    backend hands it the rest of a run whose next block could cross the
+    cycle budget.  ``ctr`` holds the seven run counters on entry and
+    receives them at HALT.  :class:`ExecutionLimitExceeded` is raised
+    after charging the instruction that crosses ``max_cycles`` and
+    before executing it.
+    """
+    decoded = simulator._decoded
+    code_size = len(decoded)
+    base = simulator.executable.data_base
+    memory_words = simulator.memory_words
+    entry_names = simulator._entry_names
+    volatile = simulator.volatile_registers
+    regs = machine.regs
+    memory = machine.memory
+    output = machine.output
+    call_stack = machine.call_stack
+    call_edges = machine.call_edges
+    check_frames = machine.frames
+    track = machine.track
+    per_proc = machine.per_proc
+    marks = machine.marks
+    (cycles, instructions, loads, stores, singleton_loads,
+     singleton_stores, save_restore) = ctr
+
+    while True:
+        if not 0 <= pc < code_size:
+            raise MachineError(f"pc out of range: {pc}")
+        op = decoded[pc]
+        code = op[0]
+        cycles += op[1]
+        instructions += 1
+        if cycles > max_cycles:
+            raise ExecutionLimitExceeded(
+                f"exceeded {max_cycles} cycles"
+            )
+        if code == _LDW:
+            address = regs[op[3]] + op[4]
+            if not 0 <= address < memory_words:
+                raise MachineError(f"load from bad address {address}")
+            if op[2]:
+                regs[op[2]] = memory[address]
+            loads += 1
+            if op[5]:
+                singleton_loads += 1
+            if op[6]:
+                save_restore += 1
+            pc += 1
+        elif code == _STW:
+            address = regs[op[3]] + op[4]
+            if not base <= address < memory_words:
+                raise MachineError(f"store to bad address {address}")
+            memory[address] = regs[op[2]]
+            stores += 1
+            if op[5]:
+                singleton_stores += 1
+            if op[6]:
+                save_restore += 1
+            pc += 1
+        elif code == _ADD or code == _ADDI:
+            value = (regs[op[3]] + (regs[op[4]] if code == _ADD else op[4])) & _WORD_MASK
+            if value > _INT_MAX:
+                value -= 0x100000000
+            if op[2]:
+                regs[op[2]] = value
+            pc += 1
+        elif code == _SUB or code == _SUBI:
+            value = (regs[op[3]] - (regs[op[4]] if code == _SUB else op[4])) & _WORD_MASK
+            if value > _INT_MAX:
+                value -= 0x100000000
+            if op[2]:
+                regs[op[2]] = value
+            pc += 1
+        elif code == _LDI:
+            if op[2]:
+                regs[op[2]] = op[3]
+            pc += 1
+        elif code == _MOV:
+            if op[2]:
+                regs[op[2]] = regs[op[3]]
+            pc += 1
+        elif _BEQ <= code <= _BGE:
+            a = regs[op[2]]
+            b = regs[op[3]]
+            if code == _BEQ:
+                taken = a == b
+            elif code == _BNE:
+                taken = a != b
+            elif code == _BLT:
+                taken = a < b
+            elif code == _BLE:
+                taken = a <= b
+            elif code == _BGT:
+                taken = a > b
+            else:
+                taken = a >= b
+            pc = op[4] if taken else pc + 1
+        elif code == _B:
+            pc = op[2]
+        elif _CEQ <= code <= _CGE:
+            a = regs[op[3]]
+            b = regs[op[4]]
+            if code == _CEQ:
+                value = int(a == b)
+            elif code == _CNE:
+                value = int(a != b)
+            elif code == _CLT:
+                value = int(a < b)
+            elif code == _CLE:
+                value = int(a <= b)
+            elif code == _CGT:
+                value = int(a > b)
+            else:
+                value = int(a >= b)
+            if op[2]:
+                regs[op[2]] = value
+            pc += 1
+        elif _MUL <= code <= _SRA or _MULI <= code <= _SRAI:
+            a = regs[op[3]]
+            b = regs[op[4]] if code <= _SRA else op[4]
+            if code == _MUL or code == _MULI:
+                value = a * b
+            elif code == _DIV or code == _DIVI:
+                if b == 0:
+                    raise MachineError("division by zero")
+                value = abs(a) // abs(b)
+                if (a < 0) != (b < 0):
+                    value = -value
+            elif code == _REM or code == _REMI:
+                if b == 0:
+                    raise MachineError("remainder by zero")
+                quotient = abs(a) // abs(b)
+                if (a < 0) != (b < 0):
+                    quotient = -quotient
+                value = a - quotient * b
+            elif code == _AND or code == _ANDI:
+                value = a & b
+            elif code == _OR or code == _ORI:
+                value = a | b
+            elif code == _XOR or code == _XORI:
+                value = a ^ b
+            elif code == _SLL or code == _SLLI:
+                value = a << (b & 31)
+            else:  # arithmetic shift right
+                value = a >> (b & 31)
+            value &= _WORD_MASK
+            if value > _INT_MAX:
+                value -= 0x100000000
+            if op[2]:
+                regs[op[2]] = value
+            pc += 1
+        elif code == _BL or code == _BLR:
+            if code == _BL:
+                target = op[2]
+                callee = op[3]
+            else:
+                target = regs[op[2]]
+                callee = entry_names.get(target)
+                if callee is None:
+                    raise MachineError(
+                        f"indirect call to non-function address {target}"
+                    )
+            regs[RP] = pc + 1
+            call_edges[(call_stack[-1], callee)] += 1
+            if track:
+                _flush_proc(per_proc, call_stack[-1], cycles,
+                            instructions, loads, stores, save_restore,
+                            marks)
+            call_stack.append(callee)
+            if check_frames is not None:
+                preserved = _preserved_registers(op[-1], volatile)
+                check_frames.append(
+                    (pc + 1, callee, preserved,
+                     [regs[i] for i in preserved])
+                )
+            pc = target
+        elif code == _RET:
+            if track:
+                _flush_proc(per_proc, call_stack[-1], cycles,
+                            instructions, loads, stores, save_restore,
+                            marks)
+            if len(call_stack) > 1:
+                call_stack.pop()
+            pc = regs[RP]
+            if check_frames:
+                _check_return(check_frames, regs, pc)
+        elif code == _PRINT:
+            output.append(str(regs[op[2]]))
+            output.append("\n")
+            pc += 1
+        elif code == _PUTC:
+            output.append(chr(regs[op[2]] & 0xFF))
+            pc += 1
+        elif code == _HALT:
+            break
+        else:  # pragma: no cover
+            raise MachineError(f"bad opcode {code}")
+
+    ctr[:] = (cycles, instructions, loads, stores, singleton_loads,
+              singleton_stores, save_restore)
+
+
 class Simulator:
     """Facade over the pluggable execution backends.
 
-    Decoding, accounting configuration, and result shape are shared;
-    ``backend`` picks how the decoded stream is executed (``compiled``
-    closures or the ``reference`` interpreter loop).  Both backends
+    Decoding, accounting configuration, machine state and result shape
+    are shared; ``backend`` picks how the decoded stream is executed
+    (``compiled`` closures or :func:`step_reference`).  Both backends
     produce bit-identical :class:`ExecutionStats` and raise the same
     exceptions at the same instruction boundaries.
     """
@@ -351,287 +651,26 @@ class Simulator:
 
     def run(self, max_cycles: int = 200_000_000) -> ExecutionStats:
         """Execute from the startup stub until HALT."""
-        if self.backend == "compiled":
-            from repro.machine.compiled import run_compiled
-
-            return run_compiled(self, max_cycles)
-        return self._run_reference(max_cycles)
-
-    def _run_reference(self, max_cycles: int) -> ExecutionStats:
-        """The pre-decoded tuple interpreter (semantic baseline)."""
-        stats = ExecutionStats()
-        regs = [0] * NUM_REGISTERS
-        memory = [0] * self.memory_words
-        base = self.executable.data_base
-        for index, word in enumerate(self.executable.data_words):
-            memory[base + index] = word
-        regs[SP] = self.memory_words
-        pc = self.executable.entry_pc
-        decoded = self._decoded
-        code_size = len(decoded)
-        output: list[str] = []
-        call_stack = ["<stub>"]
-        check_frames: list | None = (
-            [] if self.check_conventions else None
-        )
-        volatile = self.volatile_registers
-        cycles = 0
-        instructions = 0
-        save_restore = 0
-        entry_names = self._entry_names
-        memory_words = self.memory_words
         tracer = current_tracer()
-        track = (
+        track = bool(
             tracer.enabled
             if self.procedure_stats is None
             else self.procedure_stats
         )
-        per_proc: dict = {}
-        marks = [0, 0, 0, 0, 0]
+        ctr = [0] * 7
+        if self.backend == "compiled":
+            from repro.machine.compiled import compiled_program
 
-        while True:
-            if not 0 <= pc < code_size:
-                raise MachineError(f"pc out of range: {pc}")
-            op = decoded[pc]
-            code = op[0]
-            cycles += op[1]
-            instructions += 1
-            if cycles > max_cycles:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_cycles} cycles"
-                )
-            if code == _LDW:
-                address = regs[op[3]] + op[4]
-                if not 0 <= address < memory_words:
-                    raise MachineError(f"load from bad address {address}")
-                if op[2]:
-                    regs[op[2]] = memory[address]
-                stats.loads += 1
-                if op[5]:
-                    stats.singleton_loads += 1
-                if op[6]:
-                    save_restore += 1
-                pc += 1
-            elif code == _STW:
-                address = regs[op[3]] + op[4]
-                if not base <= address < memory_words:
-                    raise MachineError(f"store to bad address {address}")
-                memory[address] = regs[op[2]]
-                stats.stores += 1
-                if op[5]:
-                    stats.singleton_stores += 1
-                if op[6]:
-                    save_restore += 1
-                pc += 1
-            elif code == _ADD or code == _ADDI:
-                value = (regs[op[3]] + (regs[op[4]] if code == _ADD else op[4])) & _WORD_MASK
-                if value > _INT_MAX:
-                    value -= 0x100000000
-                if op[2]:
-                    regs[op[2]] = value
-                pc += 1
-            elif code == _SUB or code == _SUBI:
-                value = (regs[op[3]] - (regs[op[4]] if code == _SUB else op[4])) & _WORD_MASK
-                if value > _INT_MAX:
-                    value -= 0x100000000
-                if op[2]:
-                    regs[op[2]] = value
-                pc += 1
-            elif code == _LDI:
-                if op[2]:
-                    regs[op[2]] = op[3]
-                pc += 1
-            elif code == _MOV:
-                if op[2]:
-                    regs[op[2]] = regs[op[3]]
-                pc += 1
-            elif _BEQ <= code <= _BGE:
-                a = regs[op[2]]
-                b = regs[op[3]]
-                if code == _BEQ:
-                    taken = a == b
-                elif code == _BNE:
-                    taken = a != b
-                elif code == _BLT:
-                    taken = a < b
-                elif code == _BLE:
-                    taken = a <= b
-                elif code == _BGT:
-                    taken = a > b
-                else:
-                    taken = a >= b
-                pc = op[4] if taken else pc + 1
-            elif code == _B:
-                pc = op[2]
-            elif _CEQ <= code <= _CGE:
-                a = regs[op[3]]
-                b = regs[op[4]]
-                if code == _CEQ:
-                    value = int(a == b)
-                elif code == _CNE:
-                    value = int(a != b)
-                elif code == _CLT:
-                    value = int(a < b)
-                elif code == _CLE:
-                    value = int(a <= b)
-                elif code == _CGT:
-                    value = int(a > b)
-                else:
-                    value = int(a >= b)
-                if op[2]:
-                    regs[op[2]] = value
-                pc += 1
-            elif _MUL <= code <= _SRA or _MULI <= code <= _SRAI:
-                a = regs[op[3]]
-                b = regs[op[4]] if code <= _SRA else op[4]
-                if code == _MUL or code == _MULI:
-                    value = a * b
-                elif code == _DIV or code == _DIVI:
-                    if b == 0:
-                        raise MachineError("division by zero")
-                    value = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        value = -value
-                elif code == _REM or code == _REMI:
-                    if b == 0:
-                        raise MachineError("remainder by zero")
-                    quotient = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        quotient = -quotient
-                    value = a - quotient * b
-                elif code == _AND or code == _ANDI:
-                    value = a & b
-                elif code == _OR or code == _ORI:
-                    value = a | b
-                elif code == _XOR or code == _XORI:
-                    value = a ^ b
-                elif code == _SLL or code == _SLLI:
-                    value = a << (b & 31)
-                else:  # arithmetic shift right
-                    value = a >> (b & 31)
-                value &= _WORD_MASK
-                if value > _INT_MAX:
-                    value -= 0x100000000
-                if op[2]:
-                    regs[op[2]] = value
-                pc += 1
-            elif code == _BL:
-                regs[RP] = pc + 1
-                target = op[2]
-                callee = op[3]
-                stats.call_counts[callee] += 1
-                stats.call_edges[(call_stack[-1], callee)] += 1
-                if track:
-                    _flush_proc(per_proc, call_stack[-1], cycles,
-                                instructions, stats.loads, stats.stores,
-                                save_restore, marks)
-                call_stack.append(callee)
-                if check_frames is not None:
-                    preserved = [
-                        i for i in range(NUM_REGISTERS)
-                        if i != RP and i not in op[4] and i not in volatile
-                    ]
-                    check_frames.append(
-                        (pc + 1, callee, preserved,
-                         [regs[i] for i in preserved])
-                    )
-                pc = target
-            elif code == _BLR:
-                target = regs[op[2]]
-                callee = entry_names.get(target)
-                if callee is None:
-                    raise MachineError(
-                        f"indirect call to non-function address {target}"
-                    )
-                regs[RP] = pc + 1
-                stats.call_counts[callee] += 1
-                stats.call_edges[(call_stack[-1], callee)] += 1
-                if track:
-                    _flush_proc(per_proc, call_stack[-1], cycles,
-                                instructions, stats.loads, stats.stores,
-                                save_restore, marks)
-                call_stack.append(callee)
-                if check_frames is not None:
-                    preserved = [
-                        i for i in range(NUM_REGISTERS)
-                        if i != RP and i not in op[3] and i not in volatile
-                    ]
-                    check_frames.append(
-                        (pc + 1, callee, preserved,
-                         [regs[i] for i in preserved])
-                    )
-                pc = target
-            elif code == _RET:
-                if track:
-                    _flush_proc(per_proc, call_stack[-1], cycles,
-                                instructions, stats.loads, stats.stores,
-                                save_restore, marks)
-                if len(call_stack) > 1:
-                    call_stack.pop()
-                pc = regs[RP]
-                if check_frames is not None and check_frames:
-                    ret_pc, callee, preserved, values = check_frames.pop()
-                    if ret_pc == pc:
-                        for register, value in zip(preserved, values):
-                            if regs[register] != value:
-                                raise ConventionViolation(
-                                    f"call to {callee} destroyed "
-                                    f"register r{register} "
-                                    f"({value} -> {regs[register]}) "
-                                    f"not in its clobber set"
-                                )
-                    else:  # pragma: no cover - no tail calls exist
-                        check_frames.append(
-                            (ret_pc, callee, preserved, values)
-                        )
-            elif code == _PRINT:
-                output.append(str(regs[op[2]]))
-                output.append("\n")
-                pc += 1
-            elif code == _PUTC:
-                output.append(chr(regs[op[2]] & 0xFF))
-                pc += 1
-            elif code == _HALT:
-                break
-            else:  # pragma: no cover
-                raise MachineError(f"bad opcode {code}")
-
-        stats.cycles = cycles
-        stats.instructions = instructions
-        stats.save_restore_executed = save_restore
-        stats.output = "".join(output)
-        stats.exit_code = regs[RV]
-        if track:
-            # Final flush: instructions since the last call boundary
-            # (including the HALT itself) belong to the procedure on top
-            # of the stack.
-            _flush_proc(per_proc, call_stack[-1], cycles, instructions,
-                        stats.loads, stats.stores, save_restore, marks)
-            stats.per_procedure = {
-                name: ProcedureStats(*entry)
-                for name, entry in sorted(per_proc.items())
-            }
-            if tracer.enabled:
-                tracer.event(
-                    "execution",
-                    cycles=cycles,
-                    instructions=instructions,
-                    memory_references=stats.memory_references,
-                    singleton_references=stats.singleton_references,
-                    save_restore_executed=save_restore,
-                    exit_code=stats.exit_code,
-                    per_procedure={
-                        name: {
-                            "cycles": entry[0],
-                            "instructions": entry[1],
-                            "loads": entry[2],
-                            "stores": entry[3],
-                            "save_restore": entry[4],
-                        }
-                        for name, entry in sorted(per_proc.items())
-                    },
-                )
-        return stats
+            # Code generation's transient peak comes before the
+            # machine's memory exists, so the two do not add up.
+            program = compiled_program(self, track)
+            machine = _Machine(self, track)
+            program.run(self, machine, ctr, max_cycles)
+        else:
+            machine = _Machine(self, track)
+            step_reference(self, machine, self.executable.entry_pc, ctr,
+                           max_cycles)
+        return machine.finish(ctr, tracer)
 
 
 def run_executable(

@@ -71,6 +71,10 @@ def run(function: IRFunction) -> bool:
                     changed = True
                 if result in keys_using or result in keys_held_by:
                     _forget(available, keys_using, keys_held_by, result)
+                if key is not None and result in key:
+                    # ``a = a + b`` redefines an operand of its own key:
+                    # the expression no longer has the value in ``a``.
+                    key = None
                 if key is not None:
                     available[key] = result
                     keys_held_by.setdefault(result, []).append(key)

@@ -178,8 +178,8 @@ def test_headline_ordering_othello(scheduler):
 
 
 def test_env_knob_selects_strategy(scheduler, monkeypatch):
-    """``REPRO_ALLOCATOR`` mirrors ``REPRO_SIM``: the environment picks
-    the strategy when no explicit name is passed."""
+    """``REPRO_ALLOCATOR``: the environment picks the strategy when no
+    explicit name is passed."""
     from repro.backend.allocators import resolve_allocator
 
     monkeypatch.delenv("REPRO_ALLOCATOR", raising=False)

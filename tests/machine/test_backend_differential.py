@@ -7,9 +7,12 @@ splits, save/restore, call counts and edges, per-procedure
 attribution, output, exit code — and the same exception with the same
 message at the same instruction boundary.  The matrix here is the full
 workload suite under every analyzer configuration A-F (plus the
-level-2 baseline), seeded fuzz programs, cycle-limit boundaries, and a
+level-2 baseline), seeded fuzz programs (``REPRO_FUZZ_SEEDS`` widens
+the sweep; CI runs 100), cycle-limit boundaries, and a
 convention-violating executable.  See ``docs/SIMULATOR.md``.
 """
+
+import os
 
 import pytest
 
@@ -37,7 +40,7 @@ from repro.workloads import all_workloads
 
 WORKLOADS = all_workloads()
 CONFIGS = [None, "A", "B", "C", "D", "E", "F"]
-FUZZ_SEEDS = range(12)
+FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "12")))
 FUZZ_MAX_CYCLES = 200_000
 
 
@@ -192,6 +195,46 @@ def test_limit_boundary_identical():
     assert saw_limit and saw_stats
 
 
+def test_budget_hand_off_runs_reference_loop_to_halt():
+    """Every budget from 1 to past the total: where a block's whole
+    cost could cross the budget, the compiled backend hands the run to
+    the reference loop.  The last block's taken early exit skips a long
+    fall-through, so its ceiling overshoots the path actually run and
+    budgets just above the total hand off a run that reaches HALT on
+    the reference loop (with per-procedure attribution and convention
+    frames in flight)."""
+    result = compile_program({"m": """
+        int g;
+        int pick(int x) { return x * 3 - 1; }
+        int main() {
+          int r = pick(4);
+          if (r < 0) {
+            g = g + r;
+            g = g * 3;
+            g = g - 7;
+            g = g ^ r;
+            g = g + 11;
+            g = g * r;
+            g = g - r;
+            g = g + 5;
+            g = g & 1023;
+            g = g | 4;
+          }
+          print(r);
+          return g + r;
+        }
+    """})
+    executable = result.executable
+    total = Simulator(executable, backend="reference").run().cycles
+    for kwargs in ({}, {"procedure_stats": True},
+                   {"check_conventions": True}):
+        outcomes = {
+            assert_backends_agree(executable, limit, **kwargs)[0]
+            for limit in range(1, total + 41)
+        }
+        assert outcomes == {"limit", "stats"}, kwargs
+
+
 # ----------------------------------------------------------------------
 # Convention violations: same exception, same message, both backends.
 
@@ -218,23 +261,12 @@ def test_default_backend_is_compiled():
     assert set(BACKENDS) == {"compiled", "reference"}
 
 
-def test_resolve_backend_prefers_explicit_name(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM", "compiled")
+def test_resolve_backend_prefers_explicit_name():
     assert resolve_backend("reference") == "reference"
-
-
-def test_resolve_backend_reads_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM", "reference")
-    assert resolve_backend() == "reference"
-    result = compile_program({"m": "int main() { return 3; }"})
-    assert Simulator(result.executable).backend == "reference"
-    monkeypatch.delenv("REPRO_SIM")
+    assert resolve_backend(" Compiled ") == "compiled"
     assert resolve_backend() == DEFAULT_BACKEND
 
 
-def test_unknown_backend_rejected(monkeypatch):
+def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown simulator backend"):
         resolve_backend("turbo")
-    monkeypatch.setenv("REPRO_SIM", "bogus")
-    with pytest.raises(ValueError, match="unknown simulator backend"):
-        resolve_backend()

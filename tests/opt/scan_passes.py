@@ -187,6 +187,9 @@ def run_cse(function: IRFunction) -> bool:
                 ]
                 for stale in result_stale:
                     available.pop(stale, None)
+            if key is not None and instruction.defs()[0] in instruction.uses():
+                # The result overwrote an operand of its own expression.
+                key = None
             if key is not None:
                 result = instruction.defs()[0]
                 available[key] = result

@@ -11,8 +11,9 @@ edit touched.
 
 The hand-built blocks below cover what the corpus may not reach: a
 copy whose source is redefined, ``x = x``, a user call while pinned
-temps hold cached constants, copies and expressions, and a CSE key
-that is added again after its result was redefined.
+temps hold cached constants, copies and expressions, a CSE key that is
+added again after its result was redefined, and expressions whose
+result is one of their own operands.
 """
 
 import copy
@@ -188,7 +189,32 @@ def key_readded():
     return func
 
 
-BUILDS = (redefined_copy_source, self_copy, pinned_across_call, key_readded)
+def self_operand_key():
+    """``a = a + b`` then ``c = a + b``: the first redefines an operand
+    of its own expression, so the second computes a new value."""
+    func = IRFunction("selfkey")
+    entry = func.add_entry_block()
+    a, b, c = (func.new_temp() for _ in range(3))
+    entry.append(BinOp(a, "+", a, b))
+    entry.append(BinOp(c, "+", a, b))
+    entry.terminator = Return(c)
+    return func
+
+
+BUILDS = (redefined_copy_source, self_copy, pinned_across_call, key_readded,
+          self_operand_key)
+
+
+@pytest.mark.parametrize("run", [cse.run, scan_passes.run_cse],
+                         ids=["cse", "oracle"])
+def test_cse_keeps_expression_over_its_own_result(run):
+    function = self_operand_key()
+    assert run(function) is False
+    assert [type(i) for i in function.entry.instructions] == [BinOp, BinOp]
+    function = key_readded()
+    run(function)
+    loop = next(b for b in function.blocks.values() if b.loop_depth)
+    assert [type(i) for i in loop.instructions] == [BinOp, BinOp]
 
 
 @pytest.mark.parametrize(
