@@ -6,23 +6,26 @@ pays, per dynamic instruction, for tuple indexing, a ~40-way
 ``if/elif`` dispatch chain, and counter updates.  This backend removes
 all three:
 
-* the decoded stream is partitioned into **extended basic blocks**
-  (leaders are the program entry, function entries, branch/call
-  targets, and call-return sites).  A block extends through the
-  fall-through edge of conditional branches (each taken edge is an
-  inline early exit), through unconditional jumps (**jump threading**),
-  and, when per-procedure attribution is off, straight into the callee
-  of a direct call and back out at its return (**inline call/return**:
-  every inlined return keeps a guard that leaves the block if the
-  return pointer no longer holds the static return site);
-* each block is compiled — once per executable and accounting
-  configuration — into one Python closure with every operand, cost,
-  and stats increment folded in as a constant; registers touched more
-  than once are hoisted into Python locals, loaded just before their
-  first read and written back at every later exit;
+* an **extended basic block** starts at any pc control enters.  It
+  extends through the fall-through edge of conditional branches (each
+  taken edge is an inline early exit), through unconditional jumps
+  (**jump threading**), and, when per-procedure attribution is off,
+  straight into the callee of a direct call and back out at its return
+  (**inline call/return**: every inlined return keeps a guard that
+  leaves the block if the return pointer no longer holds the static
+  return site);
+* each block is generated and compiled when control first reaches its
+  pc — blocks that never run cost nothing — into one Python function
+  with every operand, cost, and stats increment folded in as a
+  constant; registers touched more than once are hoisted into Python
+  locals, loaded just before their first read and written back at
+  every later exit.  The code object is kept for later runs of the
+  same simulator;
 * the run loop chains closures directly: each block *returns the next
   block's closure* (threaded code), and the driver is just
-  ``block = block()``.
+  ``block = block()``.  An exit to a static pc names that block's
+  closure cell, which holds a compile-on-first-call stub until the
+  block is entered.
 
 Within a block the compiler keeps five tricks, each measured to pay
 for itself (``docs/SIMULATOR.md``):
@@ -75,15 +78,14 @@ Per-procedure attribution (``track``) and calling-convention checking
 configuration costs nothing at run time.
 
 Entering the middle of a block (only possible by returning through a
-corrupted return pointer) falls back to lazily compiling a suffix block
-for that program counter, so arbitrary control flow keeps the exact
-reference semantics.
+corrupted return pointer) is an ordinary first entry at that pc, so
+arbitrary control flow keeps the exact reference semantics.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import astuple
+import builtins
+from types import CellType, CodeType, FunctionType
 
 from repro.machine.simulator import (
     _ADD,
@@ -175,28 +177,6 @@ _MAX_BLOCK = 64
 _HOIST_MIN_USES = 2
 
 
-def _find_leaders(decoded: list, executable) -> set:
-    """Program counters at which a basic block may begin."""
-    n = len(decoded)
-    leaders = {executable.entry_pc}
-    leaders.update(executable.function_entries.values())
-    for index, op in enumerate(decoded):
-        code = op[0]
-        if code == _B:
-            leaders.add(op[2])
-        elif _BEQ <= code <= _BGE:
-            leaders.add(op[4])
-            leaders.add(index + 1)
-        elif code == _BL:
-            leaders.add(op[2])
-            leaders.add(index + 1)
-        elif code == _BLR:
-            # Indirect targets are function entries (already leaders);
-            # the return site follows the call.
-            leaders.add(index + 1)
-    return {pc for pc in leaders if 0 <= pc < n}
-
-
 def _op_counts(op) -> list:
     """Counter deltas charged by one instruction:
     [cycles, instructions, loads, stores, singleton_loads,
@@ -255,9 +235,10 @@ def _operands(op) -> tuple:
 class _BlockCompiler:
     """Emits the Python source of one extended-basic-block closure."""
 
-    def __init__(self, program: "_CompiledProgram", local_starts):
+    def __init__(self, program: "_CompiledProgram"):
         self.program = program
-        self.local_starts = local_starts
+        # Names of the blocks this one exits to (``_target``).
+        self.targets: set = set()
         self.hoisted: set = set()
         self.entry_loads: set = set()
         self.written_so_far: set = set()
@@ -337,9 +318,9 @@ class _BlockCompiler:
                 continue
             pc += 1
             if pc >= n or pc in seen or len(items) >= _MAX_BLOCK:
-                # Leaders do NOT stop the scan: a block falling through
-                # into another block's head duplicates its tail (the
-                # head keeps its own closure for incoming jumps), which
+                # Other blocks' heads do NOT stop the scan: a block
+                # falling through into one duplicates its tail (the head
+                # keeps its own closure for incoming jumps), which
                 # trades code size for one less dispatch per boundary.
                 return items, inline
 
@@ -458,9 +439,13 @@ class _BlockCompiler:
     # control-transfer targets
 
     def _target(self, pc: int) -> str:
-        if pc in self.local_starts:
-            return f"_b{pc}"
-        return f"goto({pc})"
+        """An exit to the static ``pc``: that block's closure cell, or
+        ``goto``'s exact fault when ``pc`` is out of range."""
+        if not 0 <= pc < self.program.n:
+            return f"goto({pc})"
+        name = f"_b{pc}"
+        self.targets.add(name)
+        return name
 
     # ------------------------------------------------------------------
     # per-instruction bodies (non-control instructions)
@@ -812,11 +797,11 @@ class _BlockCompiler:
                 "    raise MachineError("
                 "'indirect call to non-function address %d' % t)"
             )
-            # Indirect targets are function entries, which are leaders:
-            # their dispatch slots are filled eagerly.
+            # A function entry no block has entered yet has an empty
+            # dispatch slot; goto compiles it.
             self._emit_call(out, prefix, return_pc=pc + 1,
                             callee="name", clobbers=op[3],
-                            target="dispatch[t]")
+                            target="dispatch[t] or goto(t)")
         elif code == _RET:
             if self.pending:
                 # Returns from the innermost pending inline call.
@@ -840,9 +825,10 @@ class _BlockCompiler:
             out.extend(self._exit_lines(prefix))
             out.append("raise Halted")
         else:
-            # Plain fall-through: the next pc is a leader (or past the
-            # end of the code, which goto faults on exactly like the
-            # reference backend's bounds check).
+            # Plain fall-through at the block cap or into a pc this
+            # block already holds (or past the end of the code, which
+            # goto faults on exactly like the reference backend's
+            # bounds check).
             out.extend(self._instr_lines(op))
             out.extend(self._exit_lines(prefix))
             out.append(f"return {self._target(pc + 1)}")
@@ -892,9 +878,12 @@ class _BlockCompiler:
             out.extend("    " + line for line in fail)
             out.append("    return goto(p)")
         elif self.const.get(RP) != ret_pc:
+            known = self.const.get(RP)
+            target = (f"goto({self.reg(RP)})" if known is None
+                      else self._target(known))
             out.append(f"if {self.val(RP)} != {ret_pc}:")
             out.extend("    " + line for line in fail)
-            out.append(f"    return goto({self.val(RP)})")
+            out.append(f"    return {target}")
 
     def _emit_items(self, out: list, items: list, inline: dict,
                     prefix: list) -> bool:
@@ -929,9 +918,6 @@ class _BlockCompiler:
         cost = sum(op[1] for _pc, op in items)
         out = [f"if ctr[0] + {cost} > limit:",
                f"    return slow({start})"]
-        self.written_so_far = set()
-        self.const = {0: 0}
-        self.pending = []
         prefix = [0] * 7
         if not self._emit_items(out, items, inline, prefix):
             last_pc, last_op = items[-1]
@@ -940,8 +926,18 @@ class _BlockCompiler:
         return out
 
 
+# The run state a block may read: free variables of every block,
+# bound to one run's cells in ``_CompiledProgram.run``.
+_RUN_NAMES = ("regs", "memory", "ctr", "output", "call_stack",
+              "call_edges", "limit", "slow", "flush", "frames",
+              "ret_check", "entry_names", "dispatch", "goto", "Halted",
+              "MachineError", "ec")
+_BLOCK_GLOBALS = {"__builtins__": builtins}
+
+
 class _CompiledProgram:
-    """One executable compiled for one accounting configuration."""
+    """One executable compiled for one accounting configuration, one
+    block at a time as runs first enter it."""
 
     def __init__(self, simulator, track: bool, check: bool):
         self.decoded = simulator._decoded
@@ -960,7 +956,6 @@ class _CompiledProgram:
         self.uniform = (not track) and all(
             op[1] == 1 for op in self.decoded
         )
-        self.leaders = _find_leaders(self.decoded, simulator.executable)
         # Lazy slot accounting (non-attributed runs): block exits bump
         # one per-site execution counter instead of committing every
         # counter slot; the per-site static totals (slots 1..6)
@@ -968,8 +963,8 @@ class _CompiledProgram:
         # when the reference loop ran the end of the run (``slow``).
         self.exit_totals: list = []
         self._exit_index: dict = {}
-        self._suffix_factories: dict = {}
-        self.factory = self._compile(sorted(self.leaders))
+        # pc -> code object of the block starting there.
+        self.codes: dict = {}
 
     def exit_site(self, totals: tuple) -> int:
         """Index of the lazy-commit site for ``totals`` (slots 1..6),
@@ -980,39 +975,25 @@ class _CompiledProgram:
             self.exit_totals.append(totals)
         return idx
 
-    def _compile(self, starts: list):
-        """exec one factory holding the closures for every ``starts``
-        block; calling the factory binds them to one run's state."""
-        compiler = _BlockCompiler(self, frozenset(starts))
-        lines = [
-            "def _factory(regs, memory, ctr, output, call_stack,",
-            "             call_edges, limit, slow, flush, frames,",
-            "             ret_check, entry_names, dispatch, goto, Halted,",
-            "             MachineError, ec):",
-        ]
-        for start in starts:
-            lines.append(f"    def _b{start}():")
-            for line in compiler.block_source(start):
-                lines.append("        " + line)
-        lines.append(
-            "    return {"
-            + ", ".join(f"{start}: _b{start}" for start in starts)
-            + "}"
-        )
-        namespace: dict = {}
-        exec(  # noqa: S102 - source is generated from the decoded stream
-            compile("\n".join(lines), "<repro-sim-compiled>", "exec"),
-            namespace,
-        )
-        return namespace["_factory"]
-
-    def suffix_factory(self, pc: int):
-        """Factory for a block entered mid-straight-line (a return to a
-        non-leader pc); compiled on demand and cached."""
-        factory = self._suffix_factories.get(pc)
-        if factory is None:
-            factory = self._suffix_factories[pc] = self._compile([pc])
-        return factory
+    def block_code(self, pc: int) -> CodeType:
+        """The code object of the block at ``pc``, compiled on first
+        use.  Its free variables are ``_RUN_NAMES`` and the ``_b<pc>``
+        names of the blocks it exits to."""
+        code = self.codes.get(pc)
+        if code is None:
+            compiler = _BlockCompiler(self)
+            body = compiler.block_source(pc)
+            names = _RUN_NAMES + tuple(sorted(compiler.targets))
+            lines = [f"def _bind({', '.join(names)}):",
+                     f"    def _b{pc}():"]
+            lines.extend("        " + line for line in body)
+            module = compile("\n".join(lines), "<repro-sim-compiled>",
+                             "exec")
+            code = self.codes[pc] = next(
+                const for const in module.co_consts[0].co_consts
+                if isinstance(const, CodeType)
+            )
+        return code
 
     def run(self, simulator, machine, ctr: list, max_cycles: int) -> None:
         """Run ``machine`` from the entry point to HALT, leaving the
@@ -1043,33 +1024,46 @@ class _CompiledProgram:
             raise _Halted
 
         dispatch: list = [None] * n
+        ec: list = [0] * len(self.exit_totals)
+
+        def cell(name):
+            # An exit target's cell holds the block once it is bound,
+            # and until then a stub that binds it on its first call.
+            found = cells.get(name)
+            if found is None:
+                pc = int(name[2:])
+                found = cells[name] = CellType(
+                    dispatch[pc] or (lambda: goto(pc)())
+                )
+            return found
 
         def goto(pc):
             if not 0 <= pc < n:
                 raise MachineError(f"pc out of range: {pc}")
             block = dispatch[pc]
             if block is None:
-                factory = self.suffix_factory(pc)
-                # Compiling a suffix can register new lazy-commit
+                code = self.block_code(pc)
+                # A block compiled mid-run can register new lazy-commit
                 # sites; grow this run's counter list in place before
-                # the new closures can execute.
+                # the new closure can execute.
                 grow = len(self.exit_totals) - len(ec)
                 if grow > 0:
                     ec.extend([0] * grow)
-                block = factory(*factory_args)[pc]
-                dispatch[pc] = block
+                block = dispatch[pc] = FunctionType(
+                    code, _BLOCK_GLOBALS, code.co_name, None,
+                    tuple(cell(name) for name in code.co_freevars),
+                )
+                cell(code.co_name).cell_contents = block
             return block
 
-        ec: list = [0] * len(self.exit_totals)
-        factory_args = (
-            regs, machine.memory, ctr, machine.output, machine.call_stack,
-            machine.call_edges, max_cycles, slow, flush, frames,
-            ret_check, self.entry_names, dispatch, goto, _Halted,
-            MachineError, ec,
-        )
-        for start, closure in self.factory(*factory_args).items():
-            dispatch[start] = closure
-
+        cells = {
+            name: CellType(value) for name, value in zip(_RUN_NAMES, (
+                regs, machine.memory, ctr, machine.output,
+                machine.call_stack, machine.call_edges, max_cycles, slow,
+                flush, frames, ret_check, self.entry_names, dispatch,
+                goto, _Halted, MachineError, ec,
+            ))
+        }
         block = goto(self.entry_pc)
         try:
             while True:
@@ -1087,32 +1081,14 @@ class _CompiledProgram:
             ctr[1] = ctr[0]
 
 
-# Compiled programs cached per executable so repeated runs (and
-# repeated Simulator constructions over the same executable, as
-# ``run_executable`` does) skip codegen.  Guarded against in-place
-# mutation of the executable (e.g. tests that corrupt instructions
-# between runs) by comparing the freshly decoded stream against the
-# cached one.
-_PROGRAM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def compiled_program(simulator, track: bool) -> _CompiledProgram:
-    """``simulator``'s program compiled for one accounting
-    configuration, from the caches when it was compiled before."""
+    """``simulator``'s program for one accounting configuration, made
+    once per simulator so later runs reuse the blocks already
+    compiled."""
     key = (track, bool(simulator.check_conventions))
     program = simulator._compiled_cache.get(key)
     if program is None:
-        cache_key = (
-            key[0], key[1], simulator.memory_words,
-            astuple(simulator.costs), simulator.volatile_registers,
+        program = simulator._compiled_cache[key] = _CompiledProgram(
+            simulator, *key
         )
-        try:
-            per_exe = _PROGRAM_CACHE.setdefault(simulator.executable, {})
-        except TypeError:  # pragma: no cover - unweakrefable executable
-            per_exe = {}
-        program = per_exe.get(cache_key)
-        if program is None or program.decoded != simulator._decoded:
-            program = _CompiledProgram(simulator, key[0], key[1])
-            per_exe[cache_key] = program
-        simulator._compiled_cache[key] = program
     return program

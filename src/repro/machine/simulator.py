@@ -27,10 +27,10 @@ Execution is delegated to one of two pluggable backends behind the
   backend must match bit for bit.
 * ``compiled`` — the threaded-code backend in
   :mod:`repro.machine.compiled`: basic blocks of decoded instructions
-  are compiled to specialized Python closures (operands, costs, and
-  stats increments folded in as constants) chained by returned program
-  counters.  Near the cycle limit it hands the run to
-  :func:`step_reference` itself, so faults and
+  are compiled, when control first reaches them, to specialized Python
+  closures (operands, costs, and stats increments folded in as
+  constants), each returning the next.  Near the cycle limit it hands
+  the run to :func:`step_reference` itself, so faults and
   :class:`ExecutionLimitExceeded` land on the identical instruction
   boundary.
 
@@ -661,8 +661,6 @@ class Simulator:
         if self.backend == "compiled":
             from repro.machine.compiled import compiled_program
 
-            # Code generation's transient peak comes before the
-            # machine's memory exists, so the two do not add up.
             program = compiled_program(self, track)
             machine = _Machine(self, track)
             program.run(self, machine, ctr, max_cycles)

@@ -13,6 +13,7 @@ convention-violating executable.  See ``docs/SIMULATOR.md``.
 """
 
 import os
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro import (
     run_phase1,
 )
 from repro.analyzer.driver import analyze_program
+from repro.machine import compiled
 from repro.machine.simulator import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -35,6 +37,7 @@ from repro.machine.simulator import (
     resolve_backend,
 )
 from repro.target import isa
+from repro.target.registers import RP, SP
 from repro.verify.progen import generate_fuzz_program
 from repro.workloads import all_workloads
 
@@ -42,6 +45,9 @@ WORKLOADS = all_workloads()
 CONFIGS = [None, "A", "B", "C", "D", "E", "F"]
 FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "12")))
 FUZZ_MAX_CYCLES = 200_000
+# Plain, per-procedure-attributed and convention-checked runs compile
+# different code.
+RUN_KINDS = ({}, {"procedure_stats": True}, {"check_conventions": True})
 
 
 def _stats_key(stats):
@@ -162,8 +168,7 @@ def test_workload_convention_checking_identical(name):
 def test_fuzz_program_bit_identical(seed):
     sources = generate_fuzz_program(seed)
     executable = compile_program(sources).executable
-    for kwargs in ({}, {"procedure_stats": True},
-                   {"check_conventions": True}):
+    for kwargs in RUN_KINDS:
         assert_backends_agree(executable, FUZZ_MAX_CYCLES, **kwargs)
 
 
@@ -226,8 +231,7 @@ def test_budget_hand_off_runs_reference_loop_to_halt():
     """})
     executable = result.executable
     total = Simulator(executable, backend="reference").run().cycles
-    for kwargs in ({}, {"procedure_stats": True},
-                   {"check_conventions": True}):
+    for kwargs in RUN_KINDS:
         outcomes = {
             assert_backends_agree(executable, limit, **kwargs)[0]
             for limit in range(1, total + 41)
@@ -251,6 +255,119 @@ def test_convention_violation_identical():
     )
     assert outcome[0] == "convention"
     assert "r20" in outcome[1]
+
+
+# ----------------------------------------------------------------------
+# Control flow into code no block has entered yet: the compiled backend
+# compiles each block when control first reaches its pc.  Each program
+# is patched after linking, like a corrupted executable, where needed.
+
+
+def test_mid_block_entry_through_bumped_return_pointer_identical():
+    """A callee that bumps RP returns one instruction past its return
+    site, into the middle of the caller's straight-line code."""
+    executable = compile_program({"m": """
+        int helper(int x) { return x + 1; }
+        int main() {
+          int a = helper(1);
+          print(a);
+          print(a + 2);
+          print(a + 3);
+          return a;
+        }
+    """}).executable
+    intact = Simulator(executable, backend="reference").run().output
+    start = executable.function_entries["helper"]
+    executable.instructions[start] = isa.ALUI("+", RP, RP, 1)
+    for kwargs in RUN_KINDS:
+        outcome = assert_backends_agree(executable, 200_000_000, **kwargs)
+        assert outcome[0] == "stats", kwargs
+    skipped = Simulator(executable, backend="reference").run().output
+    assert len(skipped.splitlines()) == len(intact.splitlines()) - 1
+
+
+def test_indirect_call_to_a_block_not_entered_yet_identical():
+    """The first BLR to a function finds its dispatch slot empty."""
+    executable = compile_program({"m": """
+        int twice(int x) { return x * 2; }
+        int main() { int *p = &twice; print(p(4)); print(p(5)); return 0; }
+    """}).executable
+    assert any(isinstance(instruction, isa.BLR)
+               for instruction in executable.instructions)
+    for kwargs in RUN_KINDS:
+        outcome = assert_backends_agree(executable, 200_000_000, **kwargs)
+        assert outcome[0] == "stats", kwargs
+
+
+@pytest.mark.parametrize("kind", ["B", "BC"])
+def test_branch_past_the_last_instruction_identical(kind):
+    executable = compile_program({"m": """
+        int main() { print(7); return 0; }
+    """}).executable
+    end = len(executable.instructions)
+    start = executable.function_entries["main"]
+    executable.instructions[start] = (
+        isa.B(end) if kind == "B" else isa.BC("==", SP, SP, end)
+    )
+    for kwargs in RUN_KINDS:
+        assert assert_backends_agree(executable, 200_000_000, **kwargs) == (
+            "fault", f"pc out of range: {end}"
+        ), kwargs
+
+
+def _capped_program():
+    """A main whose straight-line code is longer than ``_MAX_BLOCK``, so
+    a block stops at the cap and falls through to a pc no branch
+    targets, plus a function no run calls."""
+    prints = " ".join(f"print({k});" for k in range(compiled._MAX_BLOCK))
+    return compile_program({"m": f"""
+        int used(int x) {{ return x + 1; }}
+        int unused(int x) {{ return x * 7; }}
+        int main() {{ print(used(1)); {prints} return 0; }}
+    """}).executable
+
+
+def test_straight_line_longer_than_block_cap_identical():
+    executable = _capped_program()
+    main = executable.function_entries["main"]
+    assert len(executable.instructions) - main > compiled._MAX_BLOCK
+    for kwargs in RUN_KINDS:
+        outcome = assert_backends_agree(executable, 200_000_000, **kwargs)
+        assert outcome[0] == "stats", kwargs
+    total = Simulator(executable, backend="reference").run().cycles
+    outcomes = {assert_backends_agree(executable, limit)[0]
+                for limit in range(1, total + 2)}
+    assert outcomes == {"limit", "stats"}
+
+
+def test_blocks_compile_on_first_entry_once_per_simulator(monkeypatch):
+    """After one run, no block starts inside a function that never ran
+    and no exit reaches an in-range pc through ``goto``; a second run
+    of the same simulator compiles nothing."""
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(compiled, "compile", counting_compile,
+                        raising=False)
+    executable = _capped_program()
+    simulator = Simulator(executable, backend="compiled")
+    simulator.run()
+    assert sources
+    text = "\n".join(sources)
+    starts = [int(pc) for pc in re.findall(r"def _b(\d+)\(", text)]
+    entries = sorted(executable.function_entries.values())
+    unused = executable.function_entries["unused"]
+    end = min(pc for pc in entries + [len(executable.instructions)]
+              if pc > unused)
+    assert starts and not [pc for pc in starts if unused <= pc < end]
+    assert not [pc for pc in re.findall(r"goto\((-?\d+)\)", text)
+                if 0 <= int(pc) < len(executable.instructions)]
+    compiled_once = len(sources)
+    simulator.run()
+    assert len(sources) == compiled_once
 
 
 # ----------------------------------------------------------------------
