@@ -13,7 +13,11 @@ module re-runs phase 1 for that module alone; changing
 and then only the phase-2 jobs of modules whose directives actually
 changed.  Every job runs inline, in module order.
 
-Every stage is instrumented with wall-clock and cache counters; one
+Every stage runs inside one span of the scheduler's tracer, and the
+span is its only clock: a stage's seconds are the tracer's per-name
+span totals (:attr:`repro.obs.tracer.SpanClock.totals`), and tasks and
+cache counters sit beside them.  By default the tracer is a sinkless
+:class:`~repro.obs.tracer.SpanClock`, which keeps no records.  One
 compilation's share is surfaced on
 :attr:`repro.driver.pipeline.CompilationResult.metrics`.
 """
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
-from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,7 +41,7 @@ from repro.frontend.phase1 import (
     phase1_fingerprint,
 )
 from repro.linker.link import Executable, link
-from repro.obs.tracer import NULL_TRACER, Tracer, activate
+from repro.obs.tracer import SpanClock, Tracer, activate
 from repro.verify.auditor import AuditError, audit_executable
 
 STAGES = ("phase1", "analyze", "phase2", "link", "verify")
@@ -55,7 +57,12 @@ def _phase2_task(ir_blob, database, opt_level, allocator):
 
 @dataclass
 class MetricsSnapshot:
-    """Point-in-time (or differenced) scheduler instrumentation."""
+    """Point-in-time (or differenced) scheduler instrumentation.
+
+    ``stage_seconds`` are the scheduler tracer's span totals for
+    :data:`STAGES`; the other counter fields are counted beside the
+    spans.
+    """
 
     stage_seconds: dict = field(default_factory=dict)
     stage_tasks: dict = field(default_factory=dict)
@@ -114,19 +121,6 @@ class MetricsSnapshot:
             "audit": deepcopy(self.audit),
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MetricsSnapshot":
-        """Inverse of :meth:`to_json_dict` (field-exact round-trip)."""
-        return cls(
-            stage_seconds=dict(payload.get("stage_seconds", {})),
-            stage_tasks=dict(payload.get("stage_tasks", {})),
-            cache_hits=dict(payload.get("cache_hits", {})),
-            cache_misses=dict(payload.get("cache_misses", {})),
-            cache_bad_entries=dict(payload.get("cache_bad_entries", {})),
-            cache_evictions=dict(payload.get("cache_evictions", {})),
-            audit=deepcopy(payload.get("audit", {})),
-        )
-
 
 def _normalize_sources(sources) -> list:
     if isinstance(sources, dict):
@@ -162,9 +156,12 @@ class CompilationScheduler:
         trace: Observability tracing (:mod:`repro.obs.tracer`).  A path
             writes a deterministic JSONL event stream there; ``True``
             collects records in memory on ``scheduler.tracer.records``;
-            an existing :class:`~repro.obs.tracer.Tracer` is used as-is
-            (and stays caller-owned).  ``None`` (the default) reads the
-            ``REPRO_TRACE`` environment variable (a path enables).
+            an existing tracer is used as-is (and stays caller-owned;
+            its span totals are the stage seconds, and
+            :data:`~repro.obs.tracer.NULL_TRACER` keeps them empty).
+            ``None`` (the default) reads the ``REPRO_TRACE`` environment
+            variable (a path enables) and otherwise uses a sinkless
+            :class:`~repro.obs.tracer.SpanClock`.
         allocator: Default register-allocation strategy for phase 2
             (:mod:`repro.backend.allocators`: ``paper``, ``linearscan``,
             ``spill-everywhere``).  ``None`` (the default) defers to the
@@ -203,7 +200,7 @@ class CompilationScheduler:
             trace = os.environ.get("REPRO_TRACE") or None
         self._owns_tracer = False
         if trace is None:
-            self.tracer = NULL_TRACER
+            self.tracer = SpanClock()
         elif trace is True:
             self.tracer = Tracer()
             self._owns_tracer = True
@@ -225,7 +222,6 @@ class CompilationScheduler:
         self.verify = verify
         self.last_audit_report = None
         self._last_audit_summary: dict = {}
-        self._stage_seconds: dict = {}
         self._stage_tasks: dict = {}
 
     # -- lifecycle --------------------------------------------------------
@@ -243,17 +239,6 @@ class CompilationScheduler:
 
     # -- instrumentation --------------------------------------------------
 
-    @contextmanager
-    def _timed(self, stage: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._stage_seconds[stage] = (
-                self._stage_seconds.get(stage, 0.0) + elapsed
-            )
-
     def _count_tasks(self, stage: str, count: int) -> None:
         self._stage_tasks[stage] = self._stage_tasks.get(stage, 0) + count
 
@@ -269,8 +254,11 @@ class CompilationScheduler:
                 "evictions": {},
             }
         )
+        totals = self.tracer.totals
         return MetricsSnapshot(
-            stage_seconds=dict(self._stage_seconds),
+            stage_seconds={
+                stage: totals[stage] for stage in STAGES if stage in totals
+            },
             stage_tasks=dict(self._stage_tasks),
             cache_hits=cache_stats["hits"],
             cache_misses=cache_stats["misses"],
@@ -280,7 +268,7 @@ class CompilationScheduler:
         )
 
     def reset_metrics(self) -> None:
-        self._stage_seconds.clear()
+        self.tracer.totals.clear()
         self._stage_tasks.clear()
         if self.cache is not None:
             self.cache.stats.clear()
@@ -303,9 +291,7 @@ class CompilationScheduler:
         """Compiler first phase over every module (cached)."""
         modules = _normalize_sources(sources)
         tracer = self.tracer
-        with self._timed("phase1"), tracer.span(
-            "phase1", modules=len(modules)
-        ):
+        with tracer.span("phase1", modules=len(modules)):
             results: list = [None] * len(modules)
             pending: list = []  # (index, module name, source, cache key)
             for index, (name, text) in enumerate(modules):
@@ -345,8 +331,7 @@ class CompilationScheduler:
         whole-program by nature, and per-module reuse lives in the
         phase-1 and phase-2 caches."""
         tracer = self.tracer
-        with self._timed("analyze"), tracer.span("analyze"), \
-                activate(tracer):
+        with tracer.span("analyze"), activate(tracer):
             self._count_tasks("analyze", 1)
             return analyze_program(summaries, options)
 
@@ -369,9 +354,7 @@ class CompilationScheduler:
             allocator if allocator is not None else self.allocator
         )
         tracer = self.tracer
-        with self._timed("phase2"), tracer.span(
-            "phase2", modules=len(phase1_results)
-        ):
+        with tracer.span("phase2", modules=len(phase1_results)):
             objects: list = [None] * len(phase1_results)
             pending: list = []  # (index, cache key or None)
             for index, result in enumerate(phase1_results):
@@ -423,9 +406,9 @@ class CompilationScheduler:
         The report is kept on :attr:`last_audit_report` and its summary
         rides along on the next metrics snapshot either way.
         """
-        with self._timed("verify"), self.tracer.span("verify"):
+        with self.tracer.span("verify"):
             # Counted before the audit runs: a raising auditor must
-            # still show up in stage_tasks (and _timed's finally keeps
+            # still show up in stage_tasks (and the span's exit keeps
             # its wall-clock), or failed verification work would vanish
             # from the metrics.
             self._count_tasks("verify", 1)
@@ -457,7 +440,7 @@ class CompilationScheduler:
         return executable
 
     def _link(self, objects: list) -> Executable:
-        with self._timed("link"), self.tracer.span("link"):
+        with self.tracer.span("link"):
             executable = link(objects)
         if self.tracer.enabled:
             self.tracer.event(

@@ -861,35 +861,42 @@ class _BlockCompiler:
             )
 
     def _emit_inline_ret(self, out: list, ret_pc: int,
-                         prefix: list) -> None:
+                         prefix: list) -> bool:
         """A RET inside an inlined call: execution continues at the
         statically known return site ``ret_pc`` unless the program
         returns somewhere else (corrupted return pointer), in which
         case the block is left through the generic dispatch path.
         The matching call's push is still pending, so the pop cancels
-        it and emits nothing."""
+        it and emits nothing.  Returns True when the constant lattice
+        knows RP holds another pc: the return then always leaves, and
+        that exit closes the block (as an always-taken branch does)."""
         self.pending.pop()
-        fail = self._exit_lines(prefix)
+        known = self.const.get(RP)
+        if known == ret_pc and not self.program.check:
+            return False
         if self.program.check:
             out.extend(self._writeback())
             out.append(f"p = {self.val(RP)}")
             out.append("ret_check(p)")
-            out.append(f"if p != {ret_pc}:")
-            out.extend("    " + line for line in fail)
-            out.append("    return goto(p)")
-        elif self.const.get(RP) != ret_pc:
-            known = self.const.get(RP)
+            test, target = "p", "goto(p)"
+        else:
+            test = self.val(RP)
             target = (f"goto({self.reg(RP)})" if known is None
                       else self._target(known))
-            out.append(f"if {self.val(RP)} != {ret_pc}:")
-            out.extend("    " + line for line in fail)
-            out.append(f"    return {target}")
+        fail = self._exit_lines(prefix) + [f"return {target}"]
+        if known is not None and known != ret_pc:
+            out.extend(fail)
+            return True
+        out.append(f"if {test} != {ret_pc}:")
+        out.extend("    " + line for line in fail)
+        return False
 
     def _emit_items(self, out: list, items: list, inline: dict,
                     prefix: list) -> bool:
         """Emit every item but the last; conditional branches inside
         the block become inline early exits.  Returns True when a
-        branch that is always taken closed the block early."""
+        branch that is always taken, or an inlined return the lattice
+        knows leaves, closed the block early."""
         for index, (pc, op) in enumerate(items[:-1]):
             _add_counts(prefix, _op_counts(op))
             code = op[0]
@@ -897,8 +904,8 @@ class _BlockCompiler:
             if index in inline:
                 if code == _BL:
                     self._emit_inline_call(out, pc, op)
-                else:
-                    self._emit_inline_ret(out, inline[index], prefix)
+                elif self._emit_inline_ret(out, inline[index], prefix):
+                    return True
             elif code == _B:
                 # Jump-threaded: charged above, no code — execution
                 # continues at the branch target inline.

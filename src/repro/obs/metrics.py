@@ -5,8 +5,8 @@ One registry with three metric types — monotonically increasing
 plus text and JSON exporters, and *fold* functions that pour every
 existing instrumentation surface into it:
 
-* :class:`~repro.driver.scheduler.MetricsSnapshot` (stage wall-clock,
-  task counts, cache counters, the last audit summary);
+* :class:`~repro.driver.scheduler.MetricsSnapshot` (stage span
+  seconds, task counts, cache counters, the last audit summary);
 * post-link audit summaries;
 * :class:`~repro.machine.simulator.ExecutionStats`, including the new
   per-procedure counters, attributed per cluster root against a
@@ -14,7 +14,9 @@ existing instrumentation surface into it:
 
 Metrics are identified by name plus a sorted label set, prometheus
 style; the text exporter renders the conventional exposition format so
-the output can be scraped or diffed directly.
+the output can be scraped or diffed directly.  Float samples and
+histogram sums print at full precision (``repr``), so a scrape compares
+exactly with the span seconds of a trace.
 """
 
 from __future__ import annotations
@@ -180,16 +182,14 @@ class MetricsRegistry:
                         f"{cumulative}"
                     )
                     lines.append(
-                        f"{name}_sum{_format_labels(key)} {value.total:g}"
+                        f"{name}_sum{_format_labels(key)} {value.total!r}"
                     )
                     lines.append(
                         f"{name}_count{_format_labels(key)} {value.count}"
                     )
                 else:
                     lines.append(
-                        f"{name}{_format_labels(key)} "
-                        f"{value:g}" if isinstance(value, float)
-                        else f"{name}{_format_labels(key)} {value}"
+                        f"{name}{_format_labels(key)} {value!r}"
                     )
         return "\n".join(lines) + "\n"
 

@@ -18,16 +18,21 @@ streams.  The rules that make that hold:
 * the scheduler runs every module's job inline, in module order, so
   nothing can reorder the stream.
 
+Spans are the one clock: each span adds its wall-clock to its
+tracer's per-name ``totals`` (the span-end record carries the same
+reading), and stage seconds, reply durations and ``/metrics`` read
+those totals.  Schedulers and daemon requests default to the sinkless
+:class:`SpanClock`: totals only, no records, ``enabled`` false.
+
 Instrumentation sites never hold a tracer; they fetch the ambient one
 via :func:`current_tracer`, which answers the no-op :data:`NULL_TRACER`
-unless a real tracer was installed with :func:`activate` (the scheduler
-does this around every stage when constructed with ``trace=`` or with
-``REPRO_TRACE`` set).  The ambient slot is a :class:`~contextvars.
-ContextVar`, so concurrent service requests running on separate
-threads each see their own request-scoped tracer.  The null tracer's
-methods are empty and its ``enabled`` flag is ``False``, so disabled
-tracing costs one context-variable read and one attribute check per
-instrumentation site.
+unless a tracer was installed with :func:`activate` (the scheduler
+does this around the analyzer).  The ambient slot is a
+:class:`~contextvars.ContextVar`, so concurrent service requests
+running on separate threads each see their own request-scoped tracer.
+The null tracer's methods are empty and its ``enabled`` flag is
+``False``, so disabled tracing costs one context-variable read and one
+attribute check per instrumentation site.
 
 The compile service writes many requests' records into one daemon
 stream, tagging each record with its request's ``trace`` id; see
@@ -91,20 +96,39 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
+class _TimedSpan:
+    """An open span's clock: on exit it adds its ``seconds`` to
+    ``totals[name]``."""
 
-    ``enabled`` is ``False`` so hot instrumentation sites can skip
-    payload construction entirely (``if tracer.enabled: ...``).
-    """
+    __slots__ = ("totals", "name", "start", "seconds")
+
+    def __init__(self, totals: dict, name: str):
+        self.totals, self.name = totals, name
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info):
+        self.seconds = time.perf_counter() - self.start
+        self.totals[self.name] = self.totals.get(self.name, 0) + self.seconds
+
+
+class SpanClock:
+    """The sinkless tracer: spans add their wall-clock to :attr:`totals`
+    (seconds per span name); there are no records or events, and
+    ``enabled`` is ``False`` so guarded sites skip payload construction
+    entirely (``if tracer.enabled: ...``)."""
 
     enabled = False
+
+    def __init__(self):
+        self.totals: dict = {}
 
     def event(self, type_, **payload):
         pass
 
     def span(self, name, **attrs):
-        return _NULL_SPAN
+        return _TimedSpan(self.totals, name)
 
     def close(self):
         pass
@@ -112,6 +136,13 @@ class NullTracer:
     @property
     def records(self):
         return []
+
+
+class NullTracer(SpanClock):
+    """The disabled tracer: a clock whose spans clock nothing."""
+
+    def span(self, name, **attrs):
+        return _NULL_SPAN
 
 
 NULL_TRACER = NullTracer()
@@ -141,6 +172,7 @@ class Tracer:
         self._ordinal = 0
         self._span_stack: list = []  # span ids, innermost last
         self._next_span_id = 1
+        self.totals: dict = {}  # seconds per span name, as on SpanClock
 
     # -- emission ---------------------------------------------------------
 
@@ -166,7 +198,8 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **attrs):
         """Open a nested span; the end record carries wall-clock
-        ``seconds`` (the single timing field in the schema)."""
+        ``seconds`` (the single timing field in the schema), the same
+        reading the span adds to :attr:`totals`."""
         span_id = self._next_span_id
         self._next_span_id += 1
         self._emit(
@@ -179,18 +212,18 @@ class Tracer:
             }
         )
         self._span_stack.append(span_id)
-        start = time.perf_counter()
+        clock = _TimedSpan(self.totals, name)
         try:
-            yield span_id
+            with clock:
+                yield span_id
         finally:
-            elapsed = time.perf_counter() - start
             self._span_stack.pop()
             self._emit(
                 {
                     "ev": "span-end",
                     "name": name,
                     "id": span_id,
-                    "seconds": elapsed,
+                    "seconds": clock.seconds,
                 }
             )
 

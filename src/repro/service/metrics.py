@@ -2,15 +2,17 @@
 
 The daemon owns one :class:`~repro.obs.metrics.MetricsRegistry`,
 mutated only from the event loop (the compile thread computes, the
-loop narrates).  This module holds the fold functions that pour service
-activity into it:
+loop narrates).  Every duration in it is a span's: each request runs
+under its own tracer (a sinkless :class:`~repro.obs.tracer.SpanClock`
+unless the daemon writes a trace), and this module pours that
+tracer's per-name span totals into the registry:
 
-* per-request counters and a latency histogram
-  (:func:`record_request`);
-* each compile's per-stage wall-clock/task deltas
-  (:func:`fold_compile_delta`) — these come from the *session's own*
-  scheduler under the session lock, so they are exact even with many
-  sessions in flight;
+* per-request counters and a latency histogram of the ``request``
+  span (:func:`record_request`);
+* each compile's stage, ``queue-wait`` and ``lock-wait`` spans and its
+  stage task counts (:func:`fold_compile`) — the spans are the ones
+  the compile reply reports and the trace records, so ``/metrics`` and
+  a trace of the same requests sum to the same seconds;
 * point-in-time service state — open sessions, queued/active jobs,
   shared-cache counters (:func:`fold_service_state`).  Cache counters
   are cache-wide (the cache is shared by design, that is the point),
@@ -22,6 +24,7 @@ exposition text the ``/metrics`` endpoint serves.
 
 from __future__ import annotations
 
+from repro.driver.scheduler import STAGES
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
 from repro.service.protocol import PROTOCOL_VERSION
 
@@ -32,10 +35,13 @@ from repro.service.protocol import PROTOCOL_VERSION
 #: other.
 LATENCY_BUCKETS = SECONDS_BUCKETS
 
+#: The compile spans ``repro_service_phase_seconds`` observes.
+PHASES = STAGES + ("queue-wait", "lock-wait")
+
 
 def record_request(registry: MetricsRegistry, operation: str,
                    outcome: str, seconds: float) -> None:
-    """Count one finished request and observe its wall-clock."""
+    """Count one finished frame and observe its ``request`` span."""
     registry.inc(
         "repro_service_requests_total", type=operation, outcome=outcome
     )
@@ -45,47 +51,30 @@ def record_request(registry: MetricsRegistry, operation: str,
     )
 
 
-def fold_compile_delta(registry: MetricsRegistry, delta) -> None:
-    """Fold one compile's :class:`MetricsSnapshot` difference.
+def fold_compile(registry: MetricsRegistry, totals: dict,
+                 stage_tasks: dict) -> None:
+    """Pour one compile request's span totals into the registry.
 
-    Only the per-scheduler families are folded (stage seconds and stage
-    tasks): the ``cache_*`` families in a per-compile delta are deltas
-    of the *shared* cache's counters and would double-count concurrent
-    sessions' traffic; the shared cache is exported once, as totals, by
-    :func:`fold_service_state`.
-
-    Each stage's wall-clock additionally lands in the per-phase
-    latency histogram ``repro_service_phase_seconds`` (one observation
-    per compile per stage, shared :data:`LATENCY_BUCKETS` schema), so
-    ``/metrics`` answers "where do compiles spend their time" with a
-    distribution, not just a running total.
+    Each of :data:`PHASES` spans once per compile, so each observation
+    of ``repro_service_phase_seconds`` is one span's seconds.  The
+    compile's own ``stage_tasks`` (not the shared cache's counters,
+    which :func:`fold_service_state` exports) go beside them.
     """
-    for stage, seconds in delta.stage_seconds.items():
-        registry.inc(
-            "repro_service_stage_seconds_total", seconds, stage=stage
-        )
-        registry.observe(
-            "repro_service_phase_seconds", seconds,
-            buckets=LATENCY_BUCKETS, phase=stage,
-        )
-    for stage, count in delta.stage_tasks.items():
+    for phase in PHASES:
+        if phase in totals:
+            registry.observe(
+                "repro_service_phase_seconds", totals[phase],
+                buckets=LATENCY_BUCKETS, phase=phase,
+            )
+            if phase in STAGES:
+                registry.inc(
+                    "repro_service_stage_seconds_total", totals[phase],
+                    stage=phase,
+                )
+    for stage, count in stage_tasks.items():
         registry.inc(
             "repro_service_stage_tasks_total", count, stage=stage
         )
-
-
-def record_compile_waits(registry: MetricsRegistry,
-                         queue_seconds: float,
-                         lock_seconds: float) -> None:
-    """Observe one compile's queue/session-lock waits (same schema)."""
-    registry.observe(
-        "repro_service_phase_seconds", queue_seconds,
-        buckets=LATENCY_BUCKETS, phase="queue-wait",
-    )
-    registry.observe(
-        "repro_service_phase_seconds", lock_seconds,
-        buckets=LATENCY_BUCKETS, phase="lock-wait",
-    )
 
 
 def fold_service_state(registry: MetricsRegistry, service) -> None:
@@ -134,8 +123,10 @@ def session_stats(session) -> dict:
     """Per-session JSON statistics (the ``stats`` operation's result).
 
     Everything is taken from the session's own scheduler, so the
-    numbers are exact per session; shared-cache counters appear in the
-    server-level stats instead.
+    numbers are exact per session: ``stage_seconds`` are its tracer's
+    stage totals, to which every compile adds its request's stage
+    spans.  Shared-cache counters appear in the server-level stats
+    instead.
     """
     snapshot = session.scheduler.metrics_snapshot()
     return {

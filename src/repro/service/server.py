@@ -54,14 +54,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 
-from repro.analyzer.database import ProgramDatabase
 from repro.analyzer.options import AnalyzerOptions
 from repro.driver.cache import ArtifactCache
 from repro.driver.pipeline import collect_profile
-from repro.driver.scheduler import CompilationScheduler
+from repro.driver.scheduler import STAGES, CompilationScheduler
 from repro.linker.link import executable_fingerprint
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer, activate
+from repro.obs.tracer import NULL_TRACER, SpanClock, Tracer
 from repro.service import metrics as service_metrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -336,13 +335,14 @@ class CompileService:
                 writer.close()
 
     async def _handle_frame(self, line: bytes) -> dict:
-        started = time.perf_counter()
         self.requests_total += 1
         self._active_requests += 1
         self._idle.clear()
         operation = "invalid"
         outcome = "error"
-        tracer = NULL_TRACER
+        # The request's clock: its span totals are the reply's
+        # durations and the registry's observations.
+        tracer = Tracer() if self._trace_file is not None else SpanClock()
         trace_id = None
         try:
             try:
@@ -363,8 +363,6 @@ class CompileService:
                 or params.get("session")
                 or "-"
             )
-            if self._trace_file is not None:
-                tracer = Tracer()
             with tracer.span(
                 "request",
                 op=operation,
@@ -404,11 +402,10 @@ class CompileService:
                 self._idle.set()
             if tracer.enabled:
                 self._flush_request_trace(tracer, trace_id)
+            # A frame that fails to decode opens no request span.
             service_metrics.record_request(
-                self.registry,
-                operation,
-                outcome,
-                time.perf_counter() - started,
+                self.registry, operation, outcome,
+                tracer.totals.get("request", 0.0),
             )
 
     def _flush_request_trace(self, tracer, trace_id) -> None:
@@ -461,12 +458,12 @@ class CompileService:
     async def _run_job(self, fn, tracer=NULL_TRACER):
         """Admit one compute job to the compile thread.
 
-        Returns ``(result, queue_seconds)`` where ``queue_seconds`` is
-        the time spent waiting for the thread (also recorded as a
-        ``queue-wait`` span).  After the job returns, a
-        ``worker-handoff`` event records how long the job sat between
-        submission to the executor and its first instruction on the
-        thread — executor-side latency the semaphore cannot see.
+        The wait for the thread is the ``queue-wait`` span and the job
+        itself, on the compile thread, the ``job`` span.  After the job
+        returns, a ``worker-handoff`` event records how long the job
+        sat between submission to the executor and its first
+        instruction on the thread — executor-side latency the
+        semaphore cannot see.
         """
         if self.draining:
             raise ServiceError(
@@ -475,10 +472,8 @@ class CompileService:
         loop = asyncio.get_running_loop()
         self.jobs_pending += 1
         try:
-            queue_started = time.perf_counter()
             with tracer.span("queue-wait"):
                 await self._job_slots.acquire()
-            queue_seconds = time.perf_counter() - queue_started
             self.jobs_active += 1
             try:
                 submitted = time.perf_counter()
@@ -486,7 +481,8 @@ class CompileService:
 
                 def entered():
                     handoff["start"] = time.perf_counter()
-                    return fn()
+                    with tracer.span("job"):
+                        return fn()
 
                 result = await loop.run_in_executor(
                     self._pool, entered
@@ -498,7 +494,7 @@ class CompileService:
                             handoff.get("start", submitted) - submitted
                         ),
                     )
-                return result, queue_seconds
+                return result
             finally:
                 self.jobs_active -= 1
                 self._job_slots.release()
@@ -563,9 +559,7 @@ class CompileService:
         self, params: dict, tracer=NULL_TRACER
     ) -> dict:
         session = self._session(params["session"])
-        lock_started = time.perf_counter()
         async with self._locked(session, tracer):
-            lock_seconds = time.perf_counter() - lock_started
             if not session.sources:
                 raise ServiceError(
                     "empty-session",
@@ -581,66 +575,48 @@ class CompileService:
 
             def job():
                 # Point the session's scheduler at the request-scoped
-                # tracer so its phase1/analyze/phase2/link spans nest
-                # under this request's span tree.  Safe because the
-                # session lock serializes this session's compiles, and
-                # `activate` makes the same tracer ambient for this
-                # thread only (ContextVar, not a global).
-                previous = scheduler.tracer
+                # tracer so its stage spans nest under this request's
+                # span tree (its analyzer runs with that tracer
+                # ambient), then add them to the scheduler's own tracer
+                # (the session's cumulative stats).  Safe because the
+                # session lock serializes this session's compiles.
+                own = scheduler.tracer
                 scheduler.tracer = tracer
                 try:
-                    with activate(tracer):
-                        before = scheduler.metrics_snapshot()
-                        started = time.perf_counter()
-                        phase1 = scheduler.run_phase1(
-                            sources, opt_level
+                    options = None
+                    if config is not None:
+                        options = AnalyzerOptions.config(
+                            config,
+                            profile if config in ("B", "F") else None,
                         )
-                        summaries = [
-                            result.summary for result in phase1
-                        ]
-                        if config is not None:
-                            options = AnalyzerOptions.config(
-                                config,
-                                profile
-                                if config in ("B", "F")
-                                else None,
-                            )
-                            database = scheduler.analyze(
-                                summaries, options
-                            )
-                        else:
-                            database = ProgramDatabase()
-                        executable = scheduler.compile_with_database(
-                            phase1, database, opt_level
-                        )
-                        fingerprint = executable_fingerprint(
-                            executable
-                        )
-                        delta = scheduler.metrics_snapshot().minus(
-                            before
-                        )
-                        return (
-                            fingerprint,
-                            delta,
-                            time.perf_counter() - started,
-                        )
+                    result = scheduler.compile_program(
+                        sources, opt_level, options
+                    )
+                    return (
+                        executable_fingerprint(result.executable),
+                        result.metrics,
+                    )
                 finally:
-                    scheduler.tracer = previous
+                    scheduler.tracer = own
+                    for stage in STAGES:
+                        if stage in tracer.totals:
+                            own.totals[stage] = (
+                                own.totals.get(stage, 0.0)
+                                + tracer.totals[stage]
+                            )
 
             with tracer.span("compile"):
-                (fingerprint, delta, seconds), queue_seconds = (
-                    await self._run_job(job, tracer)
-                )
+                fingerprint, metrics = await self._run_job(job, tracer)
             session.compiles += 1
             session.last_fingerprint = fingerprint
             self.compiles_total += 1
-            service_metrics.fold_compile_delta(self.registry, delta)
-            service_metrics.record_compile_waits(
-                self.registry, queue_seconds, lock_seconds
+            totals = tracer.totals
+            service_metrics.fold_compile(
+                self.registry, totals, metrics.stage_tasks
             )
             modules = len(sources)
-            phase1_compiled = delta.stage_tasks.get("phase1", 0)
-            phase2_compiled = delta.stage_tasks.get("phase2", 0)
+            phase1_compiled = metrics.stage_tasks.get("phase1", 0)
+            phase2_compiled = metrics.stage_tasks.get("phase2", 0)
             return {
                 "session": session.name,
                 "fingerprint": fingerprint,
@@ -651,10 +627,11 @@ class CompileService:
                 "phase2_cached": modules - phase2_compiled,
                 # Always empty; kept so clients that read it still work.
                 "analyze": {},
-                "stage_seconds": dict(delta.stage_seconds),
-                "seconds": seconds,
-                "queue_seconds": queue_seconds,
-                "lock_seconds": lock_seconds,
+                # This compile's stage spans (the request tracer's).
+                "stage_seconds": metrics.stage_seconds,
+                "seconds": totals["job"],
+                "queue_seconds": totals["queue-wait"],
+                "lock_seconds": totals["lock-wait"],
             }
 
     async def _op_profile(
@@ -678,7 +655,7 @@ class CompileService:
                     phase1, opt_level, max_cycles, scheduler=scheduler
                 )
 
-            profile, _queue_seconds = await self._run_job(job, tracer)
+            profile = await self._run_job(job, tracer)
             session.profile = profile
             return {
                 "session": session.name,
@@ -693,9 +670,13 @@ class CompileService:
         self, params: dict, tracer=NULL_TRACER
     ) -> dict:
         name = params.get("session")
-        if name is not None:
-            return service_metrics.session_stats(self._session(name))
-        return service_metrics.server_stats(self)
+        if name is None:
+            return service_metrics.server_stats(self)
+        session = self._session(name)
+        # Under the lock: an in-flight compile has swapped the
+        # scheduler's tracer for its request's (see _op_compile).
+        async with self._locked(session, tracer):
+            return service_metrics.session_stats(session)
 
     async def _op_close(
         self, params: dict, tracer=NULL_TRACER

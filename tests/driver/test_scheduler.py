@@ -61,20 +61,16 @@ def test_snapshot_json_round_trip():
         audit={"violation_count": 0, "violations_by_check": {}},
     )
     payload = snapshot.to_json_dict()
-    clone = MetricsSnapshot.from_json_dict(payload)
-    assert clone == snapshot
-    assert clone.to_json_dict() == payload
     # to_json_dict deep-copies nested audit state: mutating the payload
-    # must not reach back into the snapshot (and vice versa).
+    # must not reach back into the snapshot.
     payload["audit"]["violations_by_check"]["x"] = 1
     assert snapshot.audit["violations_by_check"] == {}
-    assert clone.audit["violations_by_check"] == {}
 
 
 def test_stage_timing_survives_raising_phase1():
-    """A stage that raises still records its wall-clock: _timed
-    finalizes in a ``finally``, so failed work never vanishes from the
-    stage_seconds ledger."""
+    """A stage that raises still records its wall-clock: the stage
+    span adds to its tracer's totals on exit, so failed work never
+    vanishes from the stage_seconds ledger."""
     with CompilationScheduler() as scheduler:
         with pytest.raises(Exception):
             scheduler.run_phase1({"bad": "int main( {"})

@@ -263,9 +263,10 @@ def test_convention_violation_identical():
 # is patched after linking, like a corrupted executable, where needed.
 
 
-def test_mid_block_entry_through_bumped_return_pointer_identical():
-    """A callee that bumps RP returns one instruction past its return
-    site, into the middle of the caller's straight-line code."""
+def _bumped_return_program():
+    """``(intact output, executable)`` where ``helper`` bumps RP and so
+    returns one instruction past its return site, into the middle of
+    the caller's straight-line code."""
     executable = compile_program({"m": """
         int helper(int x) { return x + 1; }
         int main() {
@@ -279,11 +280,42 @@ def test_mid_block_entry_through_bumped_return_pointer_identical():
     intact = Simulator(executable, backend="reference").run().output
     start = executable.function_entries["helper"]
     executable.instructions[start] = isa.ALUI("+", RP, RP, 1)
+    return intact, executable
+
+
+def test_mid_block_entry_through_bumped_return_pointer_identical():
+    """A callee that bumps RP returns into the middle of a block."""
+    intact, executable = _bumped_return_program()
     for kwargs in RUN_KINDS:
         outcome = assert_backends_agree(executable, 200_000_000, **kwargs)
         assert outcome[0] == "stats", kwargs
     skipped = Simulator(executable, backend="reference").run().output
     assert len(skipped.splitlines()) == len(intact.splitlines()) - 1
+
+
+@pytest.mark.parametrize("kwargs", RUN_KINDS)
+def test_known_return_elsewhere_closes_the_block(monkeypatch, kwargs):
+    """When the constant lattice knows an inlined RET goes somewhere
+    other than its return site, the return exits unconditionally and
+    the block ends there: no generated block tests two literals (or a
+    literal just stored in ``p``), so the dead rest of the caller is
+    never generated."""
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(compiled, "compile", counting_compile,
+                        raising=False)
+    _intact, executable = _bumped_return_program()
+    Simulator(executable, backend="compiled", **kwargs).run()
+    text = "\n".join(sources)
+    assert sources
+    assert not re.search(r"\bif -?\d+ \S+ -?\d+:", text)
+    assert not re.search(
+        r"p = -?\d+\n\s*ret_check\(p\)\n\s*if p ", text
+    )
 
 
 def test_indirect_call_to_a_block_not_entered_yet_identical():

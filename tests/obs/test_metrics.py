@@ -74,6 +74,25 @@ def test_text_exposition_format():
     assert 'repro_sizes_count 1' in text
 
 
+def test_text_exposition_keeps_full_float_precision():
+    """Float samples and histogram sums print with ``repr`` (``:g``
+    would render 1234567.891 as 1.23457e+06); bucket bounds keep their
+    short labels."""
+    registry = MetricsRegistry()
+    registry.set_gauge("repro_level", 1234567.891)
+    registry.inc("repro_seconds_total", 0.1)
+    registry.inc("repro_seconds_total", 0.2)
+    registry.observe("repro_sizes", 1234567.891, buckets=(0.0025, 1e6))
+    lines = registry.to_text().splitlines()
+    assert "repro_level 1234567.891" in lines
+    assert f"repro_seconds_total {0.1 + 0.2!r}" in lines
+    assert "repro_sizes_sum 1234567.891" in lines
+    assert 'repro_sizes_bucket{le="0.0025"} 0' in lines
+    assert 'repro_sizes_bucket{le="1e+06"} 0' in lines
+    assert float(lines[lines.index("repro_level 1234567.891")]
+                 .split()[-1]) == 1234567.891
+
+
 def test_json_dict_is_json_serializable_and_sorted():
     registry = MetricsRegistry()
     registry.inc("b_metric", 1, z="1", a="2")

@@ -235,6 +235,48 @@ class TestConcurrency:
             assert first == serial_fingerprint(sources), seed
             assert second == serial_fingerprint(mutated), seed
 
+    def test_session_stats_wait_for_an_inflight_compile(
+        self, tmp_path, monkeypatch
+    ):
+        """While a compile runs, its session's scheduler opens spans on
+        the request's tracer; ``stats`` for the session waits for the
+        compile, so it reports the finished compile's stage seconds."""
+        import repro.service.server as server_module
+
+        entered, release = threading.Event(), threading.Event()
+        fingerprint = server_module.executable_fingerprint
+
+        def held_fingerprint(executable):
+            entered.set()
+            release.wait(timeout=60)
+            return fingerprint(executable)
+
+        monkeypatch.setattr(
+            server_module, "executable_fingerprint", held_fingerprint
+        )
+        reply, stats = {}, {}
+        with ServiceThread(unix_path=str(tmp_path / "stats.sock")) as handle:
+            path = handle.service.unix_path
+            with ServiceClient.connect_unix(path) as conn, \
+                    ServiceClient.connect_unix(path) as other:
+                session = conn.open_session(dict(SOURCES))["session"]
+                compiling = threading.Thread(
+                    target=lambda: reply.update(conn.compile(session))
+                )
+                compiling.start()
+                assert entered.wait(timeout=60)
+                asking = threading.Thread(
+                    target=lambda: stats.update(other.stats(session))
+                )
+                asking.start()
+                asking.join(timeout=0.5)  # still waiting on the lock
+                release.set()
+                compiling.join(timeout=60)
+                asking.join(timeout=60)
+        assert not compiling.is_alive() and not asking.is_alive()
+        assert stats["compiles"] == 1
+        assert stats["stage_seconds"] == reply["stage_seconds"]
+
     def test_tcp_listener(self, service):
         host, port = service.tcp_address
         with ServiceClient.connect_tcp(host, port) as conn:

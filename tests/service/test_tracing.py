@@ -122,9 +122,13 @@ def test_request_span_tree_shape(tmp_path):
     assert child_names == ["lock-wait", "compile"]
     compile_span = compile_root["children"][1]
     inner = [child["name"] for child in compile_span["children"]]
-    assert inner[0] == "queue-wait"
+    assert inner == ["queue-wait", "job"]
+    # The job span is the compile thread's share: the reply's seconds.
+    job_span = compile_span["children"][1]
+    assert job_span["seconds"] == reply["seconds"]
+    phases = [child["name"] for child in job_span["children"]]
     for phase in ("phase1", "analyze", "phase2", "link"):
-        assert phase in inner, inner
+        assert phase in phases, phases
     # The worker-handoff event rides on the compile span with its
     # timing in the payload.
     assert any(
