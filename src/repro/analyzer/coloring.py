@@ -50,34 +50,34 @@ def web_priority_parts(web: Web, graph: CallGraph) -> tuple:
     """The ``(benefit, entry_cost)`` pair behind a web's priority.
 
     Both accumulations use :func:`math.fsum`, whose result is independent
-    of summation order: ``web.nodes`` is a set, so its iteration order
+    of summation order: ``web.members`` is a set, so its iteration order
     depends on how the set was built, and the priority (and everything
     downstream of its ordering) must not.  Plain ``sum`` would round
     differently and could move priorities, and with them the database
     bytes.
     """
-    # (global_refs, clamped weight) per node, memoized on the graph:
-    # priorities touch every member of every live web, and the repeated
-    # ``node.summary.global_refs`` attribute chain dominates the loop.
-    # ``normalize_weights`` drops the memo, so it never sees stale
-    # weights.
+    # (global_refs, clamped weight) per node index, memoized on the
+    # graph: priorities touch every member of every live web, and the
+    # repeated ``node.summary.global_refs`` attribute chain dominates
+    # the loop.  ``normalize_weights`` drops the memo, so it never sees
+    # stale weights.
     info = getattr(graph, "_priority_info", None)
     if info is None:
-        info = graph._priority_info = {
-            name: (node.summary.global_refs, max(node.weight, 1.0))
-            for name, node in graph.nodes.items()
-        }
+        nodes = graph.nodes
+        info = graph._priority_info = [
+            (nodes[name].summary.global_refs, max(nodes[name].weight, 1.0))
+            for name in web.names
+        ]
     variable = web.variable
     terms = []
-    for name in web.nodes:
-        entry = info[name]
+    for i in web.members:
+        entry = info[i]
         refs = entry[0].get(variable, 0)
         if refs:
             terms.append(REFERENCE_GAIN * refs * entry[1])
     benefit = math.fsum(terms)
     entry_cost = math.fsum(
-        [ENTRY_CALL_COST * info[name][1]
-         for name in web.entry_nodes(graph)]
+        [ENTRY_CALL_COST * info[i][1] for i in web.entries]
     )
     return benefit, entry_cost
 
@@ -184,9 +184,10 @@ def color_webs_greedy(
         if web.priority <= 0:
             web.discarded_reason = "non-positive-priority"
         else:
+            names = web.names
             max_need = max(
-                (graph.nodes[name].summary.callee_saves_needed
-                 for name in web.nodes),
+                (graph.nodes[names[i]].summary.callee_saves_needed
+                 for i in web.members),
                 default=0,
             )
             allowed = callee_sorted[: max(0, len(callee_sorted) - max_need)]
@@ -214,19 +215,18 @@ class BlanketPromotion:
     needs_store: bool = True
 
 
-def select_blanket_globals(
-    webs: list, graph: CallGraph, count: int = 6
-) -> list:
+def select_blanket_globals(webs: list, count: int = 6) -> list:
     """Pick the ``count`` hottest eligible globals (by summing the
     priorities of their webs, as the paper did by "analyzing the
-    prioritized web list") and dedicate one register to each."""
+    prioritized web list") and dedicate one register to each.  Reads
+    each web's ``priority``, which the caller sets first."""
     totals: dict[str, float] = {}
     for web in webs:
         if web.discarded_reason not in (None, "sparse",
                                         "single-node-low-frequency"):
             continue
         totals[web.variable] = totals.get(web.variable, 0.0) + max(
-            compute_web_priority(web, graph), 0.0
+            web.priority, 0.0
         )
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
     pool = web_register_pool(count)

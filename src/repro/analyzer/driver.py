@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Optional
 
+from repro.analysis.packed import PackedGraph
 from repro.analyzer.clusters import identify_clusters
 from repro.analyzer.coloring import (
     color_webs_greedy,
@@ -199,45 +200,18 @@ def _static_modules(summaries) -> dict:
     }
 
 
-def _web_needs_store(web, graph: CallGraph) -> bool:
-    stamp = getattr(web, "_packed_nodes", None)
-    if (
-        stamp is not None
-        and stamp[2] == len(web.nodes)
-        and getattr(graph, "_packed_graph", None) is stamp[0]
-    ):
-        masks = _storing_masks(graph, stamp[0])
-        return bool(masks.get(web.variable, 0) & stamp[1])
-    stores = _storing_nodes(graph).get(web.variable)
-    return stores is not None and not stores.isdisjoint(web.nodes)
-
-
-def _storing_masks(graph: CallGraph, packed) -> dict:
-    """variable -> bitmask of storing nodes (packed-mode counterpart of
-    :func:`_storing_nodes`, likewise memoized on the graph)."""
-    cached = getattr(graph, "_storing_masks", None)
-    if cached is None:
-        index_of = packed.index.index_of
-        cached = {}
-        for name, node in graph.nodes.items():
-            bit = 1 << index_of[name]
-            for variable, count in node.summary.global_stores.items():
-                if count > 0:
-                    cached[variable] = cached.get(variable, 0) | bit
-        graph._storing_masks = cached
-    return cached
-
-
 def _storing_nodes(graph: CallGraph) -> dict:
-    """variable -> nodes that store it, memoized on the graph (one sweep
-    instead of a per-web re-scan of every member's store counts)."""
+    """variable -> indices of the nodes that store it, memoized on the
+    graph (one sweep instead of a per-web re-scan of every member's
+    store counts)."""
     cached = getattr(graph, "_storing_nodes", None)
     if cached is None:
         cached = {}
-        for name, node in graph.nodes.items():
-            for variable, count in node.summary.global_stores.items():
+        nodes = graph.nodes
+        for i, name in enumerate(PackedGraph.of(graph).names):
+            for variable, count in nodes[name].summary.global_stores.items():
                 if count > 0:
-                    cached.setdefault(variable, set()).add(name)
+                    cached.setdefault(variable, set()).add(i)
         graph._storing_nodes = cached
     return cached
 
@@ -261,7 +235,7 @@ def _run_web_promotion(
                         web_id=web.web_id,
                         variable=web.variable,
                         nodes=web.nodes,
-                        entry_nodes=web.entry_nodes(graph),
+                        entry_nodes=web.entry_nodes,
                         from_split=web.from_split,
                     )
                 else:
@@ -329,13 +303,16 @@ def _run_web_promotion(
                 webs=sorted(w.web_id for w in variable_webs),
             )
 
+    storing = _storing_nodes(graph)
     for web in webs:
+        nodes = web.nodes
+        entries = web.entry_nodes
         database.webs.append(
             WebRecord(
                 web_id=web.web_id,
                 variable=web.variable,
-                nodes=frozenset(web.nodes),
-                entry_nodes=frozenset(web.entry_nodes(graph)),
+                nodes=nodes,
+                entry_nodes=entries,
                 register=web.register,
                 interferes_with=interference.neighbors_frozen(web)
                 if web.is_live
@@ -344,18 +321,21 @@ def _run_web_promotion(
                 discarded_reason=web.discarded_reason,
             )
         )
-        if web.register is None:
+        register = web.register
+        if register is None:
             continue
-        needs_store = _web_needs_store(web, graph)
-        entries = web.entry_nodes(graph)
+        stores = storing.get(web.variable)
+        needs_store = stores is not None and not stores.isdisjoint(
+            web.members
+        )
         if web.from_split:
             from repro.analyzer.webs import wrap_targets_for
 
-            for name in web.nodes:
+            for name in nodes:
                 promoted_per_proc[name].append(
                     PromotedGlobal(
                         name=web.variable,
-                        register=web.register,
+                        register=register,
                         is_entry=name in entries,
                         needs_store=needs_store,
                         wrap_callees=tuple(
@@ -363,24 +343,22 @@ def _run_web_promotion(
                         ),
                     )
                 )
-                web_reserved[name].add(web.register)
+                web_reserved[name].add(register)
         else:
             # PromotedGlobal is frozen, so the (at most) two distinct
-            # records of a non-split web are shared across its members.
-            entry_record = PromotedGlobal(
-                name=web.variable, register=web.register,
-                is_entry=True, needs_store=needs_store,
-            )
-            inner_record = PromotedGlobal(
-                name=web.variable, register=web.register,
-                is_entry=False, needs_store=needs_store,
-            )
-            register = web.register
-            for name in web.nodes:
-                promoted_per_proc[name].append(
-                    entry_record if name in entries else inner_record
+            # records of a non-split web are shared across its members;
+            # most webs are one entry node and need only one.
+            for is_entry, procedures in ((True, entries),
+                                         (False, nodes - entries)):
+                if not procedures:
+                    continue
+                record = PromotedGlobal(
+                    name=web.variable, register=register,
+                    is_entry=is_entry, needs_store=needs_store,
                 )
-                web_reserved[name].add(register)
+                for name in procedures:
+                    promoted_per_proc[name].append(record)
+                    web_reserved[name].add(register)
 
 
 def _run_blanket_promotion(
@@ -397,7 +375,7 @@ def _run_blanket_promotion(
     database.statistics.total_webs = len(webs)
     for web in webs:
         web.priority = compute_web_priority(web, graph)
-    selections = select_blanket_globals(webs, graph, options.blanket_count)
+    selections = select_blanket_globals(webs, options.blanket_count)
     tracer = current_tracer()
     if tracer.enabled:
         selected = {s.variable: s.register for s in selections}
@@ -418,22 +396,21 @@ def _run_blanket_promotion(
                 ),
             )
     start_nodes = set(graph.start_nodes())
-    all_nodes = set(graph.nodes)
+    storing = _storing_nodes(graph)
     for selection in selections:
-        needs_store = any(
-            graph.nodes[name].summary.global_stores.get(
-                selection.variable, 0
-            ) > 0
-            for name in all_nodes
-        )
-        for name in all_nodes:
-            promoted_per_proc[name].append(
-                PromotedGlobal(
-                    name=selection.variable,
-                    register=selection.register,
-                    is_entry=name in start_nodes,
-                    needs_store=needs_store,
-                )
+        register = selection.register
+        # PromotedGlobal is frozen: one record for the start nodes (the
+        # entries) and one for every other procedure, shared.
+        records = {
+            is_entry: PromotedGlobal(
+                name=selection.variable,
+                register=register,
+                is_entry=is_entry,
+                needs_store=selection.variable in storing,
             )
-            web_reserved[name].add(selection.register)
+            for is_entry in (False, True)
+        }
+        for name in graph.nodes:
+            promoted_per_proc[name].append(records[name in start_nodes])
+            web_reserved[name].add(register)
     database.statistics.webs_colored = len(selections)

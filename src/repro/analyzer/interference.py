@@ -34,10 +34,10 @@ class WebInterferenceGraph:
         # unions, so dense sharing switches to one bit per live web.
         # Both branches produce the same neighbor sets.
         webs = self.webs
-        by_node: dict[str, list] = defaultdict(list)
+        by_node: dict[int, list] = defaultdict(list)
         for position, web in enumerate(webs):
-            for name in web.nodes:
-                by_node[name].append(position)
+            for i in web.members:
+                by_node[i].append(position)
         shared = [s for s in by_node.values() if len(s) > 1]
         pair_cost = sum(len(s) * len(s) for s in shared)
         mask_cost = sum(len(s) for s in shared) * ((len(webs) >> 6) + 1)

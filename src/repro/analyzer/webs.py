@@ -35,14 +35,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.packed import iter_bits, packed_variable_masks
 from repro.callgraph.dataflow import ReferenceSets
-from repro.callgraph.graph import CallGraph
+from repro.callgraph.graph import EXTERNAL_CALLER, CallGraph
 
 
-@dataclass
+def node_names(names: tuple, indices) -> frozenset:
+    """The procedure names of the node ``indices``."""
+    return frozenset(map(names.__getitem__, indices))
+
+
+@dataclass(eq=False, slots=True)
 class Web:
     """One live range of a global over the call graph.
+
+    ``members`` and ``entries`` (the members with no predecessor inside
+    the web) are frozensets of node indices into ``names``, the call
+    graph's sorted node names (:class:`~repro.analysis.packed.PackedGraph`);
+    every analyzer stage reads them, and they are fixed once the web
+    is built.  ``nodes`` and ``entry_nodes`` are the same sets as
+    procedure names, decoded on first read for the database, the trace
+    and the tests.
 
     ``from_split`` marks webs produced by sparse-web splitting (section
     7.6.1): such webs may have referencing ancestors/descendants outside
@@ -52,50 +64,29 @@ class Web:
 
     web_id: int
     variable: str
-    nodes: set = field(default_factory=set)
+    members: frozenset
+    entries: frozenset
+    names: tuple = field(repr=False)
     discarded_reason: Optional[str] = None
     register: Optional[int] = None
     priority: float = 0.0
     from_split: bool = False
+    _nodes: Optional[frozenset] = field(default=None, init=False, repr=False)
+    _entry_nodes: Optional[frozenset] = field(
+        default=None, init=False, repr=False
+    )
 
-    def entry_nodes(self, graph: CallGraph) -> frozenset:
-        """Nodes of the web with no predecessor inside the web."""
-        # Webs built by identify_variable_webs carry their node bitmask;
-        # one mask test per member replaces a predecessor-set probe
-        # loop.  Pieces from sparse splitting carry no mask and take the
-        # set path.  The guards reject a mask produced against a
-        # different graph or whose web's nodes were rewritten.
-        memo = getattr(self, "_entries_memo", None)
-        if memo is not None and memo[0] == len(self.nodes):
-            return memo[1]
-        cached = getattr(self, "_packed_nodes", None)
-        if (
-            cached is not None
-            and cached[2] == len(self.nodes)
-            and getattr(graph, "_packed_graph", None) is cached[0]
-        ):
-            packed, mask, _count = cached
-            entries_mask = getattr(self, "_entries_mask", None)
-            if entries_mask is None:
-                pred = packed.pred
-                entries_mask = 0
-                remaining = mask
-                while remaining:
-                    i = (remaining & -remaining).bit_length() - 1
-                    remaining &= remaining - 1
-                    if not pred[i] & mask:
-                        entries_mask |= 1 << i
-            entries = frozenset(packed.index.set_of(entries_mask))
-        else:
-            entries = frozenset(
-                name
-                for name in self.nodes
-                if not any(
-                    p in self.nodes for p in graph.nodes[name].predecessors
-                )
-            )
-        self._entries_memo = (len(self.nodes), entries)
-        return entries
+    @property
+    def nodes(self) -> frozenset:
+        if self._nodes is None:
+            self._nodes = node_names(self.names, self.members)
+        return self._nodes
+
+    @property
+    def entry_nodes(self) -> frozenset:
+        if self._entry_nodes is None:
+            self._entry_nodes = node_names(self.names, self.entries)
+        return self._entry_nodes
 
     @property
     def is_live(self) -> bool:
@@ -158,53 +149,52 @@ def identify_variable_webs(
 
     Construction for different variables is independent except for the
     shared ``next_id`` counter, which :func:`identify_webs` threads
-    through the variables in sorted order.  Webs are node bitmasks until
-    screening; node bit order is ``sorted(graph.nodes)``, so candidates
-    are seeded, and web ids consumed, in sorted node order.
+    through the variables in sorted order.  Node index order is
+    ``sorted(graph.nodes)``, so candidates are seeded, and web ids
+    consumed, in sorted node order.
     """
     options = options or WebOptions()
     if next_id is None:
         next_id = [1]
-    packed, lref, pref, cref = packed_variable_masks(graph, sets)
-    lref_v = lref.get(variable, 0)
-    expand_v = lref_v | cref.get(variable, 0)
-    webs: list = []  # (web_id, node mask, entry mask) triples
-    covered = 0
-    # Candidate entry nodes: the variable in L_REF but not in P_REF.
-    for i in iter_bits(lref_v & ~pref.get(variable, 0)):
-        if covered >> i & 1:
-            continue
-        grown = _grow_web_packed(packed, expand_v, 1 << i, next_id)
-        webs = _merge_overlapping_packed(packed, expand_v, webs, grown,
-                                         next_id)
-        covered = 0
-        for entry in webs:
-            covered |= entry[1]
-    # Referencing nodes on recursive cycles whose entry paths never
-    # reference the variable have it in P_REF all around the cycle:
-    # seed one web with each such strongly connected component.
-    uncovered = lref_v & ~covered
-    if uncovered:
-        scc_masks = packed.scc_mask_of(graph)
-        seen = 0
-        for i in iter_bits(uncovered):
-            if seen >> i & 1 or covered >> i & 1:
+    referencing = sets.referencing.get(variable, ())
+    variable_webs: list = []
+    if referencing:
+        packed = sets.packed
+        bit = sets.globals_index.index_of[variable]
+        # Webs expand through successors with the variable in L_REF or
+        # C_REF.
+        grow = (set(referencing), sets.c_masks, bit)
+        webs: list = []  # (web_id, members, entries) triples
+        covered: set = set()
+        # Candidate entry nodes: the variable in L_REF but not in P_REF.
+        p_masks = sets.p_masks
+        for i in referencing:
+            if i in covered or p_masks[i] >> bit & 1:
                 continue
-            seeds = scc_masks[i]
-            seen |= seeds
-            grown = _grow_web_packed(packed, expand_v, seeds, next_id)
-            webs = _merge_overlapping_packed(packed, expand_v, webs,
-                                             grown, next_id)
-            covered = 0
-            for entry in webs:
-                covered |= entry[1]
-    set_of = packed.index.set_of
-    variable_webs = []
-    for web_id, mask, entries_mask in webs:
-        web = Web(web_id, variable, nodes=set_of(mask))
-        web._packed_nodes = (packed, mask, len(web.nodes))
-        web._entries_mask = entries_mask
-        variable_webs.append(web)
+            grown = _grow_web(packed, grow, (i,), next_id)
+            webs = _merge_overlapping(packed, grow, webs, grown, next_id)
+            covered |= webs[-1][1]
+        # Referencing nodes on recursive cycles whose entry paths never
+        # reference the variable have it in P_REF all around the cycle:
+        # seed one web with each such strongly connected component.
+        uncovered = [i for i in referencing if i not in covered]
+        if uncovered:
+            scc_of = packed.scc_of(graph)
+            seen: set = set()
+            for i in uncovered:
+                if i in seen or i in covered:
+                    continue
+                seeds = scc_of[i]
+                seen.update(seeds)
+                grown = _grow_web(packed, grow, seeds, next_id)
+                webs = _merge_overlapping(packed, grow, webs, grown,
+                                          next_id)
+                covered |= webs[-1][1]
+        variable_webs = [
+            Web(web_id, variable, frozenset(members), frozenset(entries),
+                packed.names)
+            for web_id, members, entries in webs
+        ]
     if options.split_sparse_webs:
         variable_webs = _split_sparse_webs(
             graph, sets, variable, variable_webs, options, next_id
@@ -213,76 +203,66 @@ def identify_variable_webs(
     return variable_webs
 
 
-def _grow_web_packed(
-    packed, expand_v: int, seeds: int, next_id: list
-) -> tuple:
-    """Figure 2 on bitmasks: downward closure through ``expand_v``
-    members, then pull in external predecessors of nodes that also have
-    internal ones, to fixpoint.  Consumes exactly one web id.
+def _grow_web(packed, grow: tuple, seeds, next_id: list) -> tuple:
+    """Figure 2 on node indices for the variable that ``grow`` describes
+    as ``(lref, c_masks, bit)``: ``lref`` holds the nodes with the
+    variable in L_REF, and ``bit`` is its bit in the C_REF rows
+    ``c_masks``.  Downward closure through successors with the variable
+    in L_REF or C_REF, then pull in external predecessors of nodes that
+    also have internal ones, to fixpoint.  Consumes exactly one web id.
 
-    Returns ``(web_id, member_mask, entry_mask)`` — the entry nodes
-    (members with no internal predecessor) fall out of the correctness
-    scan for free.  Bit iteration shifts each mask down to its lowest
-    set bit first: webs cluster inside one module's contiguous bit
-    range, and per-bit extraction on a big int costs O(total width)."""
+    Returns ``(web_id, members, entries)`` — the entry nodes (members
+    with no internal predecessor) fall out of the correctness scan for
+    free."""
     web_id = next_id[0]
     next_id[0] += 1
+    lref, c_masks, bit = grow
     succ = packed.succ
     pred = packed.pred
-    mask = 0
+    members: set = set()
     pending = seeds
     while True:
-        frontier = pending & ~mask
-        mask |= frontier
-        while frontier:
-            reached = 0
-            base = ((frontier & -frontier).bit_length() - 1) & ~63
-            frontier >>= base
-            while frontier:
-                reached |= succ[
-                    base + (frontier & -frontier).bit_length() - 1
-                ]
-                frontier &= frontier - 1
-            frontier = reached & expand_v & ~mask
-            mask |= frontier
-        problematic = 0
-        entries = 0
-        base = ((mask & -mask).bit_length() - 1) & ~63
-        members = mask >> base
-        while members:
-            i = base + (members & -members).bit_length() - 1
-            members &= members - 1
+        stack = [i for i in pending if i not in members]
+        members.update(stack)
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in members and (
+                    j in lref or c_masks[j] >> bit & 1
+                ):
+                    members.add(j)
+                    stack.append(j)
+        problematic: set = set()
+        entries = []
+        for i in members:
             predecessors = pred[i]
-            if not predecessors & mask:
-                entries |= 1 << i
-            else:
-                external = predecessors & ~mask
-                if external:
-                    problematic |= external
+            if members.isdisjoint(predecessors):
+                entries.append(i)
+            elif not members.issuperset(predecessors):
+                problematic.update(
+                    p for p in predecessors if p not in members
+                )
         if not problematic:
-            return (web_id, mask, entries)
+            return (web_id, members, entries)
         pending = problematic
 
 
-def _merge_overlapping_packed(
-    packed, expand_v: int, existing: list, new_web: tuple, next_id: list
+def _merge_overlapping(
+    packed, grow: tuple, existing: list, new_web: tuple, next_id: list
 ) -> list:
     """Merge ``new_web`` with every existing web it overlaps and re-close
     the union (two closed webs may together violate the entry-node
     conditions).  The merged web may now overlap webs it previously did
-    not, hence the recursion."""
-    new_mask = new_web[1]
-    overlapping = [w for w in existing if w[1] & new_mask]
-    remaining = [w for w in existing if not (w[1] & new_mask)]
+    not, hence the recursion.  The merged web comes last."""
+    new_members = new_web[1]
+    overlapping = [w for w in existing if not new_members.isdisjoint(w[1])]
     if not overlapping:
         return existing + [new_web]
-    seeds = new_mask
+    remaining = [w for w in existing if new_members.isdisjoint(w[1])]
+    seeds = set(new_members)
     for entry in overlapping:
         seeds |= entry[1]
-    merged = _grow_web_packed(packed, expand_v, seeds, next_id)
-    return _merge_overlapping_packed(
-        packed, expand_v, remaining, merged, next_id
-    )
+    merged = _grow_web(packed, grow, seeds, next_id)
+    return _merge_overlapping(packed, grow, remaining, merged, next_id)
 
 
 def _split_sparse_webs(
@@ -308,87 +288,58 @@ def _split_sparse_webs(
     and outside the sub-web, and no single convention handles both), or
     when the pieces re-merge during the correctness closure.
     """
+    packed = sets.packed
+    lref = set(sets.referencing.get(variable, ()))
+    tight = (lref, [0] * len(packed.names), 0)
     result = []
     for web in variable_webs:
-        referencing = {
-            name for name in web.nodes if variable in sets.l_ref[name]
-        }
-        ratio = len(referencing) / max(1, len(web.nodes))
+        referencing = sorted(lref.intersection(web.members))
+        ratio = len(referencing) / max(1, len(web.members))
         if ratio >= options.split_lref_ratio:
             result.append(web)
             continue
         if any(
-            graph.nodes[name].summary.makes_indirect_calls
-            for name in web.nodes
+            graph.nodes[packed.names[i]].summary.makes_indirect_calls
+            for i in web.members
         ):
             result.append(web)
             continue
+        # Tight pieces expand only through referencing successors: no
+        # C_REF row is consulted.
         pieces: list = []
-        for seed in sorted(referencing):
-            if any(seed in piece.nodes for piece in pieces):
+        for seed in referencing:
+            if any(seed in piece[1] for piece in pieces):
                 continue
-            piece = _grow_tight_web(graph, sets, variable, seed, next_id)
-            pieces = _merge_overlapping_tight(pieces, piece)
+            piece = _grow_web(packed, tight, (seed,), next_id)
+            pieces = _merge_overlapping_tight(packed, pieces, piece)
         if len(pieces) < 2:
             result.append(web)
             continue
-        for piece in pieces:
-            piece.from_split = True
-            result.append(piece)
+        for web_id, members, entries in pieces:
+            result.append(
+                Web(web_id, variable, frozenset(members),
+                    frozenset(entries), packed.names, from_split=True)
+            )
     return result
 
 
-def _grow_tight_web(
-    graph: CallGraph,
-    sets: ReferenceSets,
-    variable: str,
-    seed: str,
-    next_id: list,
-) -> Web:
-    """Grow a web that expands only through referencing successors, then
-    close it over predecessors as usual."""
-    web = Web(next_id[0], variable)
-    next_id[0] += 1
-    pending = {seed}
-    while True:
-        worklist = sorted(pending)
-        pending = set()
-        while worklist:
-            name = worklist.pop()
-            if name in web.nodes:
-                continue
-            web.nodes.add(name)
-            for successor in graph.successors(name):
-                if (
-                    successor not in web.nodes
-                    and variable in sets.l_ref[successor]
-                ):
-                    worklist.append(successor)
-        # Correctness closure: internal nodes may not have external
-        # predecessors alongside internal ones.
-        problematic: set = set()
-        for name in web.nodes:
-            predecessors = set(graph.nodes[name].predecessors)
-            internal = predecessors & web.nodes
-            external = predecessors - web.nodes
-            if internal and external:
-                problematic |= external
-        if not problematic:
-            return web
-        pending = problematic
-
-
-def _merge_overlapping_tight(pieces: list, new_piece: Web) -> list:
-    """Union-merge tight pieces that overlap (closure may join them)."""
-    merged_nodes = set(new_piece.nodes)
+def _merge_overlapping_tight(packed, pieces: list, new_piece: tuple) -> list:
+    """Union-merge tight pieces that overlap (closure may join them);
+    the union keeps ``new_piece``'s web id."""
+    merged = set(new_piece[1])
     remaining = []
     for piece in pieces:
-        if piece.nodes & merged_nodes:
-            merged_nodes |= piece.nodes
-        else:
+        if merged.isdisjoint(piece[1]):
             remaining.append(piece)
-    new_piece.nodes = merged_nodes
-    return remaining + [new_piece]
+        else:
+            merged |= piece[1]
+    if len(remaining) == len(pieces):
+        return remaining + [new_piece]
+    pred = packed.pred
+    entries = [
+        i for i in merged if all(p not in merged for p in pred[i])
+    ]
+    return remaining + [(new_piece[0], merged, entries)]
 
 
 def wrap_targets_for(
@@ -416,40 +367,33 @@ def _screen_webs(
     options: WebOptions,
     static_modules: dict,
 ) -> None:
-    from repro.callgraph.graph import EXTERNAL_CALLER
-
+    external = sets.packed.index.index_of.get(EXTERNAL_CALLER)
+    l_masks = sets.l_masks
     for web in webs:
-        if EXTERNAL_CALLER in web.nodes:
+        members = web.members
+        if external in members:
             # Partial call graph (section 7.2): the web's correctness
             # closure absorbed the unknown outside caller, so the web
             # cannot be promoted (no real entry procedure exists there).
             web.discarded_reason = "external-caller"
             continue
-        stamp = getattr(web, "_packed_nodes", None)
-        if stamp is not None and stamp[2] == len(web.nodes):
-            # Mask-carrying web: count referencing members on the
-            # bitmask instead of probing L_REF per node.
-            packed, mask, _count = stamp
-            lref = packed_variable_masks(graph, sets)[1]
-            referencing_count = (lref.get(web.variable, 0) & mask).bit_count()
-        else:
-            referencing_count = sum(
-                1 for name in web.nodes
-                if web.variable in sets.l_ref[name]
-            )
+        bit = sets.globals_index.index_of[web.variable]
+        referencing_count = sum(
+            1 for i in members if l_masks[i] >> bit & 1
+        )
         if not referencing_count:  # pragma: no cover - defensive
             web.discarded_reason = "sparse"
             continue
-        if len(web.nodes) == 1:
-            name = next(iter(web.nodes))
-            node = graph.nodes[name]
+        if len(members) == 1:
+            (i,) = members
+            node = graph.nodes[web.names[i]]
             weighted = (
                 node.summary.global_refs.get(web.variable, 0) * node.weight
             )
             if weighted < options.min_single_node_refs:
                 web.discarded_reason = "single-node-low-frequency"
                 continue
-        elif referencing_count / len(web.nodes) < options.min_lref_ratio:
+        elif referencing_count / len(members) < options.min_lref_ratio:
             web.discarded_reason = "sparse"
             continue
         if (
@@ -457,9 +401,9 @@ def _screen_webs(
             and web.variable in static_modules
         ):
             defining = static_modules[web.variable]
-            entries = web.entry_nodes(graph)
             entry_modules = {
-                graph.nodes[name].summary.module for name in entries
+                graph.nodes[web.names[i]].summary.module
+                for i in web.entries
             }
             if entry_modules - {defining}:
                 web.discarded_reason = "static-cross-module-entry"
@@ -486,7 +430,7 @@ def check_web_invariants(graph: CallGraph, sets: ReferenceSets,
                         f"{variable!r} overlap"
                     )
     for web in webs:
-        entries = web.entry_nodes(graph)
+        entries = web.entry_nodes
         for name in web.nodes:
             predecessors = set(graph.nodes[name].predecessors)
             internal = predecessors & web.nodes

@@ -23,19 +23,60 @@ the eligibility criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.packed import DenseIndex, PackedGraph
 from repro.callgraph.graph import CallGraph
 
 
-@dataclass
 class ReferenceSets:
-    """The computed L_REF / P_REF / C_REF sets."""
+    """The computed L_REF / P_REF / C_REF sets.
 
-    l_ref: dict = field(default_factory=dict)  # name -> frozenset[str]
-    p_ref: dict = field(default_factory=dict)
-    c_ref: dict = field(default_factory=dict)
+    The fixpoints run on one global bitmask per node, and the result
+    keeps those masks: ``l_masks[i]``, ``p_masks[i]`` and ``c_masks[i]``
+    hold the globals (bits of ``globals_index``) of node ``i`` of
+    ``packed``.  ``referencing`` maps each referenced global to the
+    ascending indices of the nodes that have it in L_REF.  The web
+    kernel reads these; ``l_ref``, ``p_ref`` and ``c_ref`` decode the
+    masks to ``name -> frozenset`` on first read, for the readers that
+    want sets (tests, the paper example, sparse-web splitting).
+    """
+
+    def __init__(self, packed: PackedGraph, globals_index: DenseIndex,
+                 l_masks: list, p_masks: list, c_masks: list,
+                 referencing: dict):
+        self.packed = packed
+        self.globals_index = globals_index
+        self.l_masks = l_masks
+        self.p_masks = p_masks
+        self.c_masks = c_masks
+        self.referencing = referencing
+        self._decoded: dict[int, frozenset] = {}
+
+    def _sets_of(self, masks: list) -> dict:
+        # Many nodes share a mask (empty, or one module's working set),
+        # so each distinct mask is decoded once.
+        decoded = self._decoded
+        frozenset_of = self.globals_index.frozenset_of
+        result = {}
+        for name, mask in zip(self.packed.names, masks):
+            value = decoded.get(mask)
+            if value is None:
+                value = decoded[mask] = frozenset_of(mask)
+            result[name] = value
+        return result
+
+    @cached_property
+    def l_ref(self) -> dict:
+        return self._sets_of(self.l_masks)
+
+    @cached_property
+    def p_ref(self) -> dict:
+        return self._sets_of(self.p_masks)
+
+    @cached_property
+    def c_ref(self) -> dict:
+        return self._sets_of(self.c_masks)
 
 
 def compute_reference_sets(graph: CallGraph, eligible: set) -> ReferenceSets:
@@ -51,123 +92,74 @@ def compute_reference_sets(graph: CallGraph, eligible: set) -> ReferenceSets:
     packed = PackedGraph.of(graph)
     names = packed.names
     node_of = packed.index.index_of
+    nodes = graph.nodes
     count = len(names)
 
     referenced: set = set()
-    for node in graph.nodes.values():
+    for node in nodes.values():
         referenced.update(
             g for g in node.summary.global_refs if g in eligible
         )
     globals_index = DenseIndex(sorted(referenced))
 
-    # ``decoded`` (mask -> frozenset) also serves the final conversion:
-    # L_REF frozensets are built from the reference lists right here,
-    # sparing a bit-decode per node.
-    decoded: dict[int, frozenset] = {}
-    l_sets: dict[str, frozenset] = {}
-    l_mask = [0] * count
-    lref_by_variable: dict[str, int] = {}
+    # L_REF rows hold a handful of globals, so their transpose
+    # (``referencing``) is built in the same pass as the masks.
+    l_masks = [0] * count
+    referencing: dict[str, list] = {}
     index_of = globals_index.index_of
-    for name, node in graph.nodes.items():
+    for i, name in enumerate(names):
         mask = 0
-        node_bit = 1 << node_of[name]
-        refs = []
-        for g in node.summary.global_refs:
+        for g in nodes[name].summary.global_refs:
             if g in eligible:
                 mask |= 1 << index_of[g]
-                refs.append(g)
-                lref_by_variable[g] = lref_by_variable.get(g, 0) | node_bit
-        l_mask[node_of[name]] = mask
-        cached = decoded.get(mask)
-        if cached is None:
-            cached = decoded[mask] = frozenset(refs)
-        l_sets[name] = cached
+                rows = referencing.get(g)
+                if rows is None:
+                    referencing[g] = [i]
+                else:
+                    rows.append(i)
+        l_masks[i] = mask
 
     order = [node_of[name] for name in _reverse_postorder(graph)]
-    pred_idx = [0] * count
-    succ_idx = [0] * count
-    for name, node in graph.nodes.items():
-        i = node_of[name]
-        pred_idx[i] = [node_of[p] for p in node.predecessors]
-        succ_idx[i] = [node_of[s] for s in node.successors]
+    pred = packed.pred
+    succ = packed.succ
 
     # P_REF: top-down; seed so callers pop before callees.
-    p_mask = [0] * count
+    p_masks = [0] * count
     stack = list(reversed(order))
     queued = set(stack)
     while stack:
         i = stack.pop()
         queued.discard(i)
         incoming = 0
-        for j in pred_idx[i]:
-            incoming |= p_mask[j] | l_mask[j]
-        if incoming != p_mask[i]:
-            p_mask[i] = incoming
-            for j in succ_idx[i]:
+        for j in pred[i]:
+            incoming |= p_masks[j] | l_masks[j]
+        if incoming != p_masks[i]:
+            p_masks[i] = incoming
+            for j in succ[i]:
                 if j not in queued:
                     queued.add(j)
                     stack.append(j)
 
     # C_REF: bottom-up; seed so callees pop before callers.
-    c_mask = [0] * count
+    c_masks = [0] * count
     stack = list(order)
     queued = set(stack)
     while stack:
         i = stack.pop()
         queued.discard(i)
         outgoing = 0
-        for j in succ_idx[i]:
-            outgoing |= c_mask[j] | l_mask[j]
-        if outgoing != c_mask[i]:
-            c_mask[i] = outgoing
-            for j in pred_idx[i]:
+        for j in succ[i]:
+            outgoing |= c_masks[j] | l_masks[j]
+        if outgoing != c_masks[i]:
+            c_masks[i] = outgoing
+            for j in pred[i]:
                 if j not in queued:
                     queued.add(j)
                     stack.append(j)
 
-    # Many nodes share a mask (empty, or one module's working set), so
-    # the mask -> frozenset decoding is deduplicated.
-    def frozenset_of(mask: int) -> frozenset:
-        value = decoded.get(mask)
-        if value is None:
-            value = globals_index.frozenset_of(mask)
-            decoded[mask] = value
-        return value
-
-    sets = ReferenceSets(
-        l_ref=l_sets,
-        p_ref={name: frozenset_of(p_mask[i]) for i, name in enumerate(names)},
-        c_ref={name: frozenset_of(c_mask[i]) for i, name in enumerate(names)},
+    return ReferenceSets(
+        packed, globals_index, l_masks, p_masks, c_masks, referencing
     )
-
-    # Stash the variable-major transpose for the web kernels
-    # (they would otherwise rebuild it from the frozensets).  L_REF was
-    # transposed inline above; P_REF / C_REF facts repeat heavily across
-    # the nodes of a module, so those are grouped by identical mask
-    # first and each distinct mask is decoded once.
-    items = globals_index.items
-
-    def transpose(mask_list: list) -> dict:
-        groups: dict[int, int] = {}
-        for i, node_mask in enumerate(mask_list):
-            if node_mask:
-                groups[node_mask] = groups.get(node_mask, 0) | (1 << i)
-        by_variable: dict[str, int] = {}
-        get = by_variable.get
-        for globals_mask, nodes_mask in groups.items():
-            base = ((globals_mask & -globals_mask).bit_length() - 1) & ~63
-            remaining = globals_mask >> base
-            while remaining:
-                g = base + (remaining & -remaining).bit_length() - 1
-                remaining &= remaining - 1
-                name = items[g]
-                by_variable[name] = get(name, 0) | nodes_mask
-        return by_variable
-
-    sets._packed_variable_masks = (
-        packed, lref_by_variable, transpose(p_mask), transpose(c_mask)
-    )
-    return sets
 
 
 def _reverse_postorder(graph: CallGraph) -> list[str]:

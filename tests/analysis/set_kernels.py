@@ -8,8 +8,10 @@ the equations, as the differential suite's oracle:
 * backward liveness (the solver behind ``compute_liveness``);
 * the callee- and caller-saves register-need estimates phase 1 records
   in the summary files (sections 3 and 7.6.2);
-* L_REF / P_REF / C_REF (section 4.1.2);
-* web growth, merging and recursive-cycle seeding (Figure 2);
+* L_REF / P_REF / C_REF (section 4.1.2), handed on as the masks
+  ``src/`` keeps them in;
+* web growth, merging and recursive-cycle seeding (Figure 2) on sets of
+  procedure names, handed on as ``src/``'s node-index webs;
 * web interference (section 4.1.3);
 * FREE / CALLER / CALLEE / MSPILL (Figure 6), with the historical
   sort-and-rescan member sweep in place of the Kahn worklist.
@@ -24,6 +26,7 @@ from collections import defaultdict
 from typing import Callable, Optional
 
 from repro.analysis.liveness import BlockLiveness, LivenessResult
+from repro.analysis.packed import DenseIndex, PackedGraph
 from repro.analyzer.interference import (
     WebInterferenceGraph as _PackedInterferenceGraph,
 )
@@ -205,14 +208,43 @@ def compute_reference_sets(graph, eligible: set) -> ReferenceSets:
                 c_ref[name] = outgoing
                 changed = True
 
-    return ReferenceSets(
-        l_ref={name: frozenset(values) for name, values in l_ref.items()},
-        p_ref={name: frozenset(values) for name, values in p_ref.items()},
-        c_ref={name: frozenset(values) for name, values in c_ref.items()},
+    return _as_masks(graph, l_ref, p_ref, c_ref)
+
+
+def _as_masks(graph, l_ref: dict, p_ref: dict, c_ref: dict) -> ReferenceSets:
+    """The sets in the node-major mask form ``src/`` keeps them in."""
+    packed = PackedGraph.of(graph)
+    globals_index = DenseIndex(sorted(set().union(*l_ref.values())))
+    referencing: dict[str, list] = {}
+    for i, name in enumerate(packed.names):
+        for g in l_ref[name]:
+            referencing.setdefault(g, []).append(i)
+    sets = ReferenceSets(
+        packed,
+        globals_index,
+        *(
+            [globals_index.mask_of(by_node[name]) for name in packed.names]
+            for by_node in (l_ref, p_ref, c_ref)
+        ),
+        referencing,
     )
+    # The oracle's own sets stand in for the decoded masks.
+    sets.l_ref, sets.p_ref, sets.c_ref = (
+        {name: frozenset(values) for name, values in by_node.items()}
+        for by_node in (l_ref, p_ref, c_ref)
+    )
+    return sets
 
 
 # -- webs (Figure 2) ----------------------------------------------------
+
+
+class _SetWeb:
+    """A web under construction: its id and its set of node names."""
+
+    def __init__(self, web_id: int):
+        self.web_id = web_id
+        self.nodes: set = set()
 
 
 def identify_variable_webs(
@@ -226,21 +258,22 @@ def identify_variable_webs(
     options = options or WebOptions()
     if next_id is None:
         next_id = [1]
-    variable_webs: list[Web] = []
+    set_webs: list[_SetWeb] = []
     for name in sorted(graph.nodes):
         if variable not in sets.l_ref[name]:
             continue
         if variable in sets.p_ref[name]:
             continue
-        if any(name in web.nodes for web in variable_webs):
+        if any(name in web.nodes for web in set_webs):
             continue
         web = _grow_web(graph, sets, variable, {name}, next_id)
-        variable_webs = _merge_overlapping(
-            graph, sets, variable, variable_webs, web, next_id
+        set_webs = _merge_overlapping(
+            graph, sets, variable, set_webs, web, next_id
         )
-    _add_recursive_cycle_webs(
-        graph, sets, variable, variable_webs, next_id
-    )
+    _add_recursive_cycle_webs(graph, sets, variable, set_webs, next_id)
+    variable_webs = [
+        _as_web(graph, sets.packed, variable, web) for web in set_webs
+    ]
     if options.split_sparse_webs:
         variable_webs = _split_sparse_webs(
             graph, sets, variable, variable_webs, options, next_id
@@ -249,15 +282,31 @@ def identify_variable_webs(
     return variable_webs
 
 
+def _as_web(graph, packed, variable: str, web: _SetWeb) -> Web:
+    """``web`` in the node-index form ``src/`` keeps webs in."""
+    index_of = packed.index.index_of
+    entries = [
+        name for name in web.nodes
+        if not any(p in web.nodes for p in graph.nodes[name].predecessors)
+    ]
+    return Web(
+        web.web_id,
+        variable,
+        frozenset(index_of[name] for name in web.nodes),
+        frozenset(index_of[name] for name in entries),
+        packed.names,
+    )
+
+
 def _grow_web(
     graph,
     sets: ReferenceSets,
     variable: str,
     seeds: set,
     next_id: list,
-) -> Web:
+) -> _SetWeb:
     """Figure 2: expand from ``seeds`` and close over predecessors."""
-    web = Web(next_id[0], variable)
+    web = _SetWeb(next_id[0])
     next_id[0] += 1
     pending = set(seeds)
     while True:
@@ -278,7 +327,7 @@ def _grow_web(
 
 
 def _expand_web(
-    graph, sets: ReferenceSets, web: Web, start: str, variable: str
+    graph, sets: ReferenceSets, web: _SetWeb, start: str, variable: str
 ) -> None:
     """Figure 2's Expand_Web: downward closure over C_REF/L_REF."""
     worklist = [start]
@@ -302,7 +351,7 @@ def _merge_overlapping(
     sets: ReferenceSets,
     variable: str,
     existing: list,
-    new_web: Web,
+    new_web: _SetWeb,
     next_id: list,
 ) -> list:
     """Merge ``new_web`` with any existing web it overlaps, re-closing

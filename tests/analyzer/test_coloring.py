@@ -176,7 +176,7 @@ def test_blanket_selects_hottest_globals():
     webs = identify_webs(graph, sets, eligible, LOOSE)
     for web in webs:
         web.priority = compute_web_priority(web, graph)
-    picks = select_blanket_globals(webs, graph, count=3)
+    picks = select_blanket_globals(webs, count=3)
     assert [p.variable for p in picks] == ["hot1", "hot2", "hot3"]
     registers = {p.register for p in picks}
     assert len(registers) == 3

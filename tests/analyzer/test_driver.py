@@ -1,10 +1,14 @@
 """Program analyzer driver tests (whole-tool behaviour)."""
 
+import collections
+
 import pytest
 
+from repro.analyzer import coloring
 from repro.analyzer.driver import analyze_program
 from repro.analyzer.options import AnalyzerOptions
 from repro.frontend.phase1 import compile_module_phase1
+from repro.verify.progen import FuzzProgramGenerator
 from tests.support import FIGURE3_GLOBALS, FIGURE3_PROCS, build_graph
 
 
@@ -86,6 +90,24 @@ def test_blanket_mode_reserves_everywhere():
         for promoted in directives.promoted:
             # Only start nodes (A) are entries.
             assert promoted.is_entry == (name == "A")
+
+
+def test_blanket_computes_each_web_priority_once(monkeypatch):
+    """Config E prices every web once: selection reads the priorities
+    the blanket pass already set."""
+    calls = collections.Counter()
+    priority_parts = coloring.web_priority_parts
+
+    def counting(web, graph):
+        calls[web.web_id] += 1
+        return priority_parts(web, graph)
+
+    monkeypatch.setattr(coloring, "web_priority_parts", counting)
+    summaries = FuzzProgramGenerator(0).synthesize_large(4, 200)
+    database = analyze_program(summaries, AnalyzerOptions.config("E"))
+    assert database.statistics.total_webs > 0
+    assert len(calls) == database.statistics.total_webs
+    assert set(calls.values()) == {1}
 
 
 def test_promotion_none_mode():

@@ -38,7 +38,7 @@ def test_figure3_entry_nodes():
     graph, _ = figure3_graph()
     webs, _ = webs_for(graph, {"g1", "g2", "g3"})
     entries = {
-        frozenset(w.nodes): w.entry_nodes(graph) for w in webs
+        frozenset(w.nodes): w.entry_nodes for w in webs
     }
     assert entries[frozenset("BDE")] == {"B"}  # the paper's example
     assert entries[frozenset("ABC")] == {"A"}
