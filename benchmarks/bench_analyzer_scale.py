@@ -11,11 +11,14 @@ through ``use_set_kernels``, on the set-based oracle the differential
 tests use (``tests/analysis/set_kernels.py``).
 
 Methodology: ``time.process_time`` (CPU, immune to scheduler noise),
-best of ``ROUNDS`` runs.  The oracle is only timed through 10k
-procedures — its per-variable whole-graph sweeps make 50k runs take
-minutes, which is the point of the packed kernels.  Database
-byte-identity between the two is asserted at every scale where both
-run.  Results land in the ``scalability`` section of
+best of ``ROUNDS`` runs.  For the best packed run the entry also
+records what the cyclic garbage collector did inside it, read through
+``gc.callbacks``: its CPU seconds, its share of the run, its passes per
+generation and the objects it freed (reported, not asserted).  The
+oracle is only timed through 10k procedures — its per-variable
+whole-graph sweeps make 50k runs take minutes, which is the point of
+the packed kernels.  Database byte-identity between the two is
+asserted at every scale where both run.  Results land in the ``scalability`` section of
 ``BENCH_results.json``; when both 10k and 50k run, so does the ratio of
 their packed procs/s (``procs_per_sec_50k_over_10k``), which ROADMAP
 item 3 wants at 0.7 or more.  The ratio is reported, not asserted.
@@ -24,6 +27,7 @@ item 3 wants at 0.7 or more.  The ratio is reported, not asserted.
 scales — CI's smoke step runs ``REPRO_SCALE_PROCS=1000``.
 """
 
+import gc
 import hashlib
 import os
 import time
@@ -59,19 +63,49 @@ def _selected_scales():
     return tuple(s for s in SCALES if s[0] in wanted)
 
 
+class _CollectorClock:
+    """While installed in ``gc.callbacks``: the CPU seconds, passes per
+    generation and freed objects of the cyclic garbage collector."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.passes = [0, 0, 0]
+        self.collected = 0
+        self._start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.process_time()
+            return
+        self.seconds += time.process_time() - self._start
+        self.passes[info["generation"]] += 1
+        self.collected += info["collected"]
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
+
+
 def _timed_analysis(summaries, rounds=ROUNDS):
-    """Best-of CPU seconds plus the database digest of one run."""
+    """Best-of CPU seconds, the database digest of one run, and the
+    collector's work inside the best run."""
     best = None
     digest = None
     for _ in range(rounds):
-        start = time.process_time()
-        database = analyze_program(summaries, AnalyzerOptions.config("C"))
-        elapsed = time.process_time() - start
+        with _CollectorClock() as collector:
+            start = time.process_time()
+            database = analyze_program(
+                summaries, AnalyzerOptions.config("C")
+            )
+            elapsed = time.process_time() - start
         if best is None or elapsed < best:
-            best = elapsed
+            best, best_collector = elapsed, collector
         if digest is None:
             digest = hashlib.sha256(database.to_json().encode()).hexdigest()
-    return best, digest
+    return best, digest, best_collector
 
 
 def test_analyzer_scale(monkeypatch):
@@ -81,17 +115,21 @@ def test_analyzer_scale(monkeypatch):
         summaries = FuzzProgramGenerator(0).synthesize_large(
             modules, procedures
         )
-        packed_s, packed_digest = _timed_analysis(summaries)
+        packed_s, packed_digest, collector = _timed_analysis(summaries)
         entry = {
             "procedures": procedures,
             "modules": modules,
             "packed_seconds": packed_s,
             "packed_procs_per_sec": procedures / packed_s,
+            "gc_seconds": collector.seconds,
+            "gc_share": collector.seconds / packed_s,
+            "gc_passes": collector.passes,
+            "gc_collected": collector.collected,
         }
         if procedures <= REFERENCE_CEILING:
             with monkeypatch.context() as patch:
                 use_set_kernels(patch)
-                reference_s, reference_digest = _timed_analysis(
+                reference_s, reference_digest, _ = _timed_analysis(
                     summaries, rounds=max(1, ROUNDS - 1)
                 )
             assert packed_digest == reference_digest, (
@@ -109,6 +147,9 @@ def test_analyzer_scale(monkeypatch):
             f"{entry['reference_procs_per_sec']:.0f}"
             if "reference_procs_per_sec" in entry else "-",
             f"{entry['speedup']:.1f}x" if "speedup" in entry else "-",
+            f"{collector.seconds:.3f} s ({entry['gc_share']:.0%})",
+            "/".join(map(str, collector.passes)),
+            collector.collected,
         ))
 
         if procedures == 1_000:
@@ -123,7 +164,7 @@ def test_analyzer_scale(monkeypatch):
     print_table(
         "Analyzer scale: full interprocedural analysis (config C)",
         ("procs", "modules", "packed procs/s", "reference procs/s",
-         "speedup"),
+         "speedup", "packed gc", "gc passes 0/1/2", "gc freed"),
         rows,
     )
     if 10_000 in rates and 50_000 in rates:

@@ -61,7 +61,7 @@ def test_cluster_census(paper_results, benchmark):
     def spill_motion_analysis():
         dominators = graph.dominator_tree()
         clusters = identify_clusters(graph, dominators)
-        return compute_register_sets(graph, clusters, dominators, {})
+        return compute_register_sets(graph, clusters, dominators)
 
     sets = benchmark(spill_motion_analysis)
     assert sets

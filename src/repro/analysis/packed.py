@@ -13,8 +13,8 @@ This module holds the shared machinery:
 
 * :class:`DenseIndex` — stable item <-> bit position maps;
 * :class:`PackedGraph` — per-:class:`~repro.callgraph.graph.CallGraph`
-  dense node numbering plus successor/predecessor index lists,
-  memoized on the graph instance;
+  dense node numbering plus successor/predecessor index lists and
+  strongly connected components, memoized on the graph instance;
 * bit iteration / conversion helpers shared by every packed kernel.
 
 Every dataflow kernel (liveness, the register-need estimates,
@@ -92,12 +92,13 @@ class PackedGraph:
     Node index order is ``sorted(graph.nodes)``, so an ascending-index
     sweep is a ``for name in sorted(graph.nodes)`` sweep.  ``succ[i]``
     and ``pred[i]`` list the indices of node ``i``'s callees and
-    callers.  The instance is memoized on the graph object (topology is
-    immutable once built; only node *weights* change afterwards, which
-    nothing here reads).
+    callers, in the order of the node's ``successors`` and
+    ``predecessors`` dicts.  The instance is memoized on the graph
+    object (topology is immutable once built; only node *weights*
+    change afterwards, which nothing here reads).
     """
 
-    __slots__ = ("index", "names", "succ", "pred", "_scc_of")
+    __slots__ = ("index", "names", "succ", "pred", "_components", "_scc_of")
 
     def __init__(self, graph):
         self.index = DenseIndex(sorted(graph.nodes))
@@ -112,6 +113,7 @@ class PackedGraph:
             [index_of[caller] for caller in nodes[name].predecessors]
             for name in self.names
         ]
+        self._components = None
         self._scc_of = None
 
     @classmethod
@@ -122,14 +124,72 @@ class PackedGraph:
             graph._packed_graph = cached
         return cached
 
-    def scc_of(self, graph) -> list:
+    def components(self) -> list:
+        """Tarjan's strongly connected components as lists of node
+        indices, in reverse topological order (callees first).
+
+        Roots and successors are visited in ascending index (name)
+        order.  Memoized and shared: callers must not mutate it.
+        """
+        if self._components is not None:
+            return self._components
+        succ = self.succ
+        count = len(succ)
+        index = [-1] * count
+        lowlink = [0] * count
+        on_stack = [False] * count
+        stack: list = []
+        components: list = []
+        counter = 0
+        for root in range(count):
+            if index[root] >= 0:
+                continue
+            index[root] = lowlink[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(sorted(succ[root])))]
+            while work:
+                node, successors = work[-1]
+                advanced = False
+                for successor in successors:
+                    if index[successor] < 0:
+                        index[successor] = lowlink[successor] = counter
+                        counter += 1
+                        stack.append(successor)
+                        on_stack[successor] = True
+                        work.append(
+                            (successor, iter(sorted(succ[successor])))
+                        )
+                        advanced = True
+                        break
+                    if on_stack[successor]:
+                        lowlink[node] = min(lowlink[node], index[successor])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+        self._components = components
+        return components
+
+    def scc_of(self) -> list:
         """Per-node tuple of the indices in its strongly connected
         component."""
         if self._scc_of is None:
             members = [()] * len(self.names)
-            index_of = self.index.index_of
-            for component in graph.strongly_connected_components():
-                indices = tuple(index_of[name] for name in component)
+            for component in self.components():
+                indices = tuple(component)
                 for i in indices:
                     members[i] = indices
             self._scc_of = members

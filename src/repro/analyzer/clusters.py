@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.dominators import DominatorTree
+from repro.analysis.packed import PackedGraph
 from repro.callgraph.graph import CallGraph
 from repro.obs.tracer import current_tracer
 
@@ -65,25 +66,42 @@ def identify_clusters(
     profile=None,
     options: Optional[ClusterOptions] = None,
 ) -> list[Cluster]:
-    """Find all clusters; returns them in discovery (top-down) order."""
+    """Find all clusters; returns them in discovery (top-down) order.
+
+    Runs on the node indices of :class:`PackedGraph` (index order is
+    name order); only the clusters found are named.
+    """
     options = options or ClusterOptions()
     if dominators is None:
         dominators = graph.dominator_tree()
-    reachable = dominators.reachable_nodes
-    self_recursive = {
-        name for name in graph.nodes if name in graph.nodes[name].successors
-    }
+    packed = PackedGraph.of(graph)
+    names = packed.names
+    index_of = packed.index.index_of
+    # The immediate dominator of each node, -1 for start nodes and
+    # unreachable nodes.
+    idom = [-1] * len(names)
+    for i, name in enumerate(names):
+        parent = dominators.immediate_dominator(name)
+        if parent is not None:
+            idom[i] = index_of[parent]
+    reachable = [False] * len(names)
+    for name in dominators.reachable_nodes:
+        reachable[index_of[name]] = True
+    recursive = [i in successors for i, successors in enumerate(packed.succ)]
 
-    roots = _select_roots(graph, dominators, profile, options, reachable)
-    nearest_root = _nearest_dominating_roots(graph, dominators, roots)
+    roots = _select_roots(
+        graph, packed, idom, reachable, recursive, profile, options
+    )
+    nearest_root = _nearest_dominating_roots(idom, roots)
 
     clusters: list[Cluster] = []
-    for root in sorted(roots):
-        cluster = _grow_cluster(
-            graph, root, nearest_root, self_recursive
-        )
-        if cluster.members:
-            clusters.append(cluster)
+    for root in range(len(names)):
+        if roots[root]:
+            members = _grow_cluster(packed, root, nearest_root, recursive)
+            if members:
+                clusters.append(Cluster(
+                    names[root], frozenset(map(names.__getitem__, members))
+                ))
     return clusters
 
 
@@ -100,26 +118,28 @@ def _incoming_weight(graph: CallGraph, name: str, profile,
 
 def _select_roots(
     graph: CallGraph,
-    dominators: DominatorTree,
+    packed: PackedGraph,
+    idom: list,
+    reachable: list,
+    recursive: list,
     profile,
     options: ClusterOptions,
-    reachable: set,
-) -> set:
-    roots: set = set()
-    self_recursive = {
-        name for name in graph.nodes if name in graph.nodes[name].successors
-    }
+) -> list:
+    """Per node index, whether the node is a cluster root."""
     from repro.callgraph.graph import EXTERNAL_CALLER
 
+    names = packed.names
+    roots = [False] * len(names)
     tracer = current_tracer()
-    for name in sorted(graph.nodes):
-        if name not in reachable:
+    for i, successors in enumerate(packed.succ):
+        if not reachable[i]:
             continue
+        name = names[i]
         if name == EXTERNAL_CALLER:
             # The partial-graph pseudo caller is not a real procedure;
             # it cannot execute spill code.
             continue
-        if name in self_recursive:
+        if recursive[i]:
             # A self-recursive root would place a recursive cycle inside
             # its own cluster (section 4.2.2's correctness rule).
             if tracer.enabled:
@@ -128,21 +148,16 @@ def _select_roots(
                     accepted=False, reason="self-recursive",
                 )
             continue
-        dominated_successors = [
-            s
-            for s in graph.nodes[name].successors
-            if s != name and dominators.immediate_dominator(s) == name
-        ]
+        dominated_successors = [j for j in successors if idom[j] == i]
         if not dominated_successors:
             continue
         incoming = _incoming_weight(graph, name, profile, options)
         outgoing = sum(
-            graph.edge_weight(name, s, profile)
-            for s in dominated_successors
+            graph.edge_weight(name, names[j], profile)
+            for j in dominated_successors
         )
         accepted = outgoing > incoming * options.root_benefit_ratio
-        if accepted:
-            roots.add(name)
+        roots[i] = accepted
         if tracer.enabled:
             tracer.event(
                 "cluster-root-candidate",
@@ -151,7 +166,9 @@ def _select_roots(
                 incoming=incoming,
                 outgoing=outgoing,
                 ratio=options.root_benefit_ratio,
-                dominated_successors=sorted(dominated_successors),
+                dominated_successors=sorted(
+                    names[j] for j in dominated_successors
+                ),
                 reason=(
                     None if accepted
                     else "outgoing-below-incoming-threshold"
@@ -160,76 +177,51 @@ def _select_roots(
     return roots
 
 
-def _nearest_dominating_roots(
-    graph: CallGraph, dominators: DominatorTree, roots: set
-) -> dict:
-    """For each node, the nearest strict dominator that is a root."""
-    nearest: dict = {}
-    for name in graph.nodes:
-        current = dominators.immediate_dominator(name)
-        while current is not None:
-            if current in roots:
-                nearest[name] = current
+def _nearest_dominating_roots(idom: list, roots: list) -> list:
+    """For each node, the nearest strict dominator that is a root (-1
+    for none)."""
+    nearest = [-1] * len(idom)
+    for i in range(len(idom)):
+        current = idom[i]
+        while current >= 0:
+            if roots[current]:
+                nearest[i] = current
                 break
-            current = dominators.immediate_dominator(current)
+            current = idom[current]
     return nearest
 
 
 def _grow_cluster(
-    graph: CallGraph,
-    root: str,
-    nearest_root: dict,
-    self_recursive: set,
-) -> Cluster:
-    """Fixpoint growth: add candidates whose predecessors are all in the
-    cluster, rejecting additions that would close a call cycle inside it."""
-    cluster_nodes: set = {root}
-    changed = True
-    while changed:
-        changed = False
-        frontier: set = set()
-        for name in cluster_nodes:
-            frontier.update(graph.nodes[name].successors)
-        for candidate in sorted(frontier - cluster_nodes):
-            if nearest_root.get(candidate) != root:
-                continue
-            if candidate in self_recursive:
-                continue
-            predecessors = set(graph.nodes[candidate].predecessors)
-            if not predecessors or not predecessors <= cluster_nodes:
-                continue
-            if _would_close_cycle(graph, cluster_nodes, candidate):
-                continue
-            cluster_nodes.add(candidate)
-            changed = True
-    # Frozen members let ClusterRecord share the set instead of copying
-    # it.
-    return Cluster(root, frozenset(cluster_nodes - {root}))
+    packed: PackedGraph, root: int, nearest_root: list, recursive: list
+) -> list:
+    """The non-root members of ``root``'s cluster.
 
-
-def _would_close_cycle(
-    graph: CallGraph, cluster_nodes: set, candidate: str
-) -> bool:
-    """True if adding ``candidate`` creates a cycle in the induced call
-    subgraph (i.e. some in-cluster successor path leads back to it)."""
-    target = candidate
-    worklist = [
-        s for s in graph.nodes[candidate].successors if s in cluster_nodes
-    ]
-    visited: set = set()
-    while worklist:
-        name = worklist.pop()
-        if name == target:
-            return True
-        if name in visited:
-            continue
-        visited.add(name)
-        for successor in graph.nodes[name].successors:
-            if successor == target:
-                return True
-            if successor in cluster_nodes and successor not in visited:
-                worklist.append(successor)
-    return False
+    A node joins once every one of its predecessors has (the root
+    counts as joined), unless the root is not its nearest dominating
+    root, it calls itself, or it calls the root.  That last test is the
+    whole of the no-recursive-cycle rule: every member joined after all
+    of its predecessors, so no member can be on a cycle inside the
+    cluster that avoids the root, and a cycle through the root enters
+    it along an edge from a member.  Each condition either holds for
+    good or, as more nodes join, only comes to hold, so the cluster is
+    the same in whatever order nodes join.
+    """
+    succ = packed.succ
+    pred = packed.pred
+    members: list = []
+    waiting: dict = {}  # node -> predecessors yet to join
+    stack = [root]
+    while stack:
+        for j in succ[stack.pop()]:
+            if nearest_root[j] != root or recursive[j] or root in succ[j]:
+                continue
+            left = waiting.get(j, len(pred[j])) - 1
+            if left:
+                waiting[j] = left
+            else:
+                members.append(j)
+                stack.append(j)
+    return members
 
 
 def check_cluster_invariants(

@@ -18,15 +18,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from repro.target.registers import CALLEE_SAVES, CALLER_SAVES
 
 
-@dataclass(frozen=True)
-class PromotedGlobal:
+class PromotedGlobal(NamedTuple):
     """One global variable promoted to a register in a procedure.
+
+    A record is immutable and shared by every procedure it applies to
+    (the analyzer builds one per distinct value).  A named tuple builds
+    in about a quarter of a frozen dataclass's time, with the same
+    ``repr``, the same hash and the same equality between records.
 
     Attributes:
         name: Qualified global name.
@@ -81,16 +85,18 @@ class ProcedureDirectives:
         free, caller, callee, mspill = (
             self.free, self.caller, self.callee, self.mspill
         )
-        # Fast path for the common (valid) case: the four sets are
-        # pairwise disjoint iff their union has no collisions; the slow
-        # path below is only entered to attribute a violation.
-        union = free | caller | callee | mspill
+        # Fast path for the common (valid) case, with no set built; the
+        # slow path below is only entered to attribute a violation.
         if (
-            len(union)
-            == len(free) + len(caller) + len(callee) + len(mspill)
-        ) and not (mspill and not self.is_cluster_root):
+            free.isdisjoint(caller) and free.isdisjoint(callee)
+            and free.isdisjoint(mspill) and caller.isdisjoint(callee)
+            and caller.isdisjoint(mspill) and callee.isdisjoint(mspill)
+            and not (mspill and not self.is_cluster_root)
+        ):
             for entry in self.promoted:
-                if entry.register in union:
+                register = entry.register
+                if (register in free or register in caller
+                        or register in callee or register in mspill):
                     break
             else:
                 return
@@ -211,13 +217,36 @@ class AnalyzerStatistics:
 
 class ProgramDatabase:
     """Maps procedure names to directives; answers with the standard
-    convention for procedures the analyzer never saw (e.g. library code)."""
+    convention for procedures the analyzer never saw (e.g. library code).
+
+    The web census (:attr:`webs`) is built on first read: phase 2, the
+    auditor and the daemon never read it, and decoding every web's
+    procedure names costs about as much as the rest of the database.
+    """
 
     def __init__(self):
         self.procedures: dict[str, ProcedureDirectives] = {}
-        self.webs: list[WebRecord] = []
         self.clusters: list[ClusterRecord] = []
         self.statistics = AnalyzerStatistics()
+        self._webs: list[WebRecord] = []
+        self._census: Optional[Callable[[], list]] = None
+
+    @property
+    def webs(self) -> list:
+        """The :class:`WebRecord` census, in web order."""
+        if self._census is not None:
+            self._webs = self._census()
+            self._census = None
+        return self._webs
+
+    def defer_webs(self, census: Callable[[], list]) -> None:
+        """Make ``census()`` the web census, called on first read."""
+        self._census = census
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the census itself, not the closure.
+        self.webs
+        return self.__dict__
 
     def put(self, directives: ProcedureDirectives) -> None:
         directives.validate()

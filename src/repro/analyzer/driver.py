@@ -29,6 +29,7 @@ from repro.analyzer.database import (
     ProgramDatabase,
     PromotedGlobal,
     WebRecord,
+    directive_payload,
 )
 from repro.analyzer.interference import WebInterferenceGraph
 from repro.analyzer.options import AnalyzerOptions
@@ -39,9 +40,12 @@ from repro.callgraph.dataflow import (
     compute_reference_sets,
     eligible_globals,
 )
-from repro.callgraph.graph import CallGraph
+from repro.callgraph.graph import EXTERNAL_CALLER, CallGraph
 from repro.frontend.summary import ModuleSummary
 from repro.obs.tracer import current_tracer
+from repro.target.registers import CALLER_SAVES
+
+_CALLER_SAVES = frozenset(CALLER_SAVES)
 
 
 def analyze_program(
@@ -77,13 +81,19 @@ def analyze_program(
                     "global-ineligible", name=name, reasons=sorted(reasons)
                 )
 
-    promoted_per_proc: dict[str, list] = defaultdict(list)
-    web_reserved: dict[str, set] = defaultdict(set)
+    # Per node index of the PackedGraph: the tuple of promoted-global
+    # records and the mask of web-reserved registers.  Records are
+    # added in variable order (webs come sorted by variable, and the
+    # webs of one variable are disjoint), so each tuple is in name
+    # order.
+    names = PackedGraph.of(graph).names
+    promoted: list = [()] * len(names)
+    web_reserved = [0] * len(names)
 
     if options.global_promotion == "webs":
         _run_web_promotion(
             graph, summaries, eligible, options, database,
-            promoted_per_proc, web_reserved,
+            promoted, web_reserved,
         )
     elif options.global_promotion == "blanket":
         if exported is not None:
@@ -94,7 +104,7 @@ def analyze_program(
             )
         _run_blanket_promotion(
             graph, summaries, eligible, options, database,
-            promoted_per_proc, web_reserved,
+            promoted, web_reserved,
         )
     elif options.global_promotion == "none":
         if tracer.enabled:
@@ -147,8 +157,6 @@ def analyze_program(
                 graph, [], None, web_reserved
             )
 
-    from repro.callgraph.graph import EXTERNAL_CALLER
-
     caller_prefixes: dict = {}
     subtree_caller: dict = {}
     if options.caller_saves_preallocation:
@@ -158,32 +166,23 @@ def analyze_program(
             graph
         )
 
-    from repro.target.registers import CALLER_SAVES
-
-    for name in sorted(graph.nodes):
+    for i, name in enumerate(names):
         if name == EXTERNAL_CALLER:
             continue
-        sets = register_sets[name]
+        free, caller, callee, mspill = register_sets[i]
         directives = ProcedureDirectives(
             name=name,
-            free=frozenset(sets.free),
-            caller=frozenset(sets.caller),
-            callee=frozenset(sets.callee),
-            mspill=frozenset(sets.mspill),
-            promoted=tuple(
-                sorted(promoted_per_proc.get(name, []),
-                       key=lambda p: p.name)
-            ),
+            free=free,
+            caller=caller,
+            callee=callee,
+            mspill=mspill,
+            promoted=promoted[i],
             is_cluster_root=name in roots,
             caller_prefix=caller_prefixes.get(name),
-            subtree_caller_used=subtree_caller.get(
-                name, frozenset(CALLER_SAVES)
-            ),
+            subtree_caller_used=subtree_caller.get(name, _CALLER_SAVES),
         )
         database.put(directives)
         if tracer.enabled:
-            from repro.analyzer.database import directive_payload
-
             tracer.event(
                 "directive", procedure=name,
                 **directive_payload(directives),
@@ -217,8 +216,7 @@ def _storing_nodes(graph: CallGraph) -> dict:
 
 
 def _run_web_promotion(
-    graph, summaries, eligible, options, database,
-    promoted_per_proc, web_reserved,
+    graph, summaries, eligible, options, database, promoted, web_reserved,
 ) -> None:
     tracer = current_tracer()
     sets = compute_reference_sets(graph, eligible)
@@ -303,67 +301,68 @@ def _run_web_promotion(
                 webs=sorted(w.web_id for w in variable_webs),
             )
 
+    database.defer_webs(lambda: _web_census(webs, interference))
     storing = _storing_nodes(graph)
+    shared: dict = {}
     for web in webs:
-        nodes = web.nodes
-        entries = web.entry_nodes
-        database.webs.append(
-            WebRecord(
-                web_id=web.web_id,
-                variable=web.variable,
-                nodes=nodes,
-                entry_nodes=entries,
-                register=web.register,
-                interferes_with=interference.neighbors_frozen(web)
-                if web.is_live
-                else frozenset(),
-                priority=web.priority,
-                discarded_reason=web.discarded_reason,
-            )
-        )
         register = web.register
         if register is None:
             continue
-        stores = storing.get(web.variable)
-        needs_store = stores is not None and not stores.isdisjoint(
-            web.members
-        )
+        variable = web.variable
+        members = web.members
+        entries = web.entries
+        stores = storing.get(variable)
+        needs_store = stores is not None and not stores.isdisjoint(members)
+        bit = 1 << register
         if web.from_split:
             from repro.analyzer.webs import wrap_targets_for
 
-            for name in nodes:
-                promoted_per_proc[name].append(
-                    PromotedGlobal(
-                        name=web.variable,
-                        register=register,
-                        is_entry=name in entries,
-                        needs_store=needs_store,
-                        wrap_callees=tuple(
-                            sorted(wrap_targets_for(graph, sets, web, name))
-                        ),
-                    )
-                )
-                web_reserved[name].add(register)
-        else:
-            # PromotedGlobal is frozen, so the (at most) two distinct
-            # records of a non-split web are shared across its members;
-            # most webs are one entry node and need only one.
-            for is_entry, procedures in ((True, entries),
-                                         (False, nodes - entries)):
-                if not procedures:
-                    continue
-                record = PromotedGlobal(
-                    name=web.variable, register=register,
-                    is_entry=is_entry, needs_store=needs_store,
-                )
-                for name in procedures:
-                    promoted_per_proc[name].append(record)
-                    web_reserved[name].add(register)
+            names = web.names
+            for i in members:
+                promoted[i] += (PromotedGlobal(
+                    variable, register, i in entries, needs_store,
+                    tuple(sorted(
+                        wrap_targets_for(graph, sets, web, names[i])
+                    )),
+                ),)
+                web_reserved[i] |= bit
+            continue
+        # The records of a non-split web are equal across its entries
+        # and across its other members, and often across webs too: one
+        # record is built per distinct value.
+        key = (variable, register, True, needs_store)
+        entry = shared.get(key) or shared.setdefault(key, PromotedGlobal(*key))
+        if len(entries) < len(members):
+            key = (variable, register, False, needs_store)
+            inner = shared.get(key) or shared.setdefault(
+                key, PromotedGlobal(*key)
+            )
+        for i in members:
+            promoted[i] += (entry,) if i in entries else (inner,)
+            web_reserved[i] |= bit
+
+
+def _web_census(webs: list, interference) -> list:
+    """The database's :class:`WebRecord` census of ``webs``."""
+    return [
+        WebRecord(
+            web_id=web.web_id,
+            variable=web.variable,
+            nodes=web.nodes,
+            entry_nodes=web.entry_nodes,
+            register=web.register,
+            interferes_with=interference.neighbors_frozen(web)
+            if web.is_live
+            else frozenset(),
+            priority=web.priority,
+            discarded_reason=web.discarded_reason,
+        )
+        for web in webs
+    ]
 
 
 def _run_blanket_promotion(
-    graph, summaries, eligible, options, database,
-    promoted_per_proc, web_reserved,
+    graph, summaries, eligible, options, database, promoted, web_reserved,
 ) -> None:
     """The [Wall 86]-style comparison: one register per hot global over
     the whole program, loaded at the start nodes."""
@@ -395,22 +394,22 @@ def _run_blanket_promotion(
                     w.web_id for w in webs if w.variable == variable
                 ),
             )
-    start_nodes = set(graph.start_nodes())
+    index_of = PackedGraph.of(graph).index.index_of
+    start_nodes = {index_of[name] for name in graph.start_nodes()}
     storing = _storing_nodes(graph)
-    for selection in selections:
+    # In name order, so that every procedure's records are too.
+    for selection in sorted(selections, key=lambda s: s.variable):
         register = selection.register
-        # PromotedGlobal is frozen: one record for the start nodes (the
-        # entries) and one for every other procedure, shared.
-        records = {
-            is_entry: PromotedGlobal(
-                name=selection.variable,
-                register=register,
-                is_entry=is_entry,
-                needs_store=selection.variable in storing,
-            )
-            for is_entry in (False, True)
-        }
-        for name in graph.nodes:
-            promoted_per_proc[name].append(records[name in start_nodes])
-            web_reserved[name].add(register)
+        needs_store = selection.variable in storing
+        # One record for the start nodes (the entries) and one for
+        # every other procedure, shared.
+        entry, inner = (
+            PromotedGlobal(selection.variable, register, is_entry,
+                           needs_store)
+            for is_entry in (True, False)
+        )
+        bit = 1 << register
+        for i in range(len(promoted)):
+            promoted[i] += (entry,) if i in start_nodes else (inner,)
+            web_reserved[i] |= bit
     database.statistics.webs_colored = len(selections)

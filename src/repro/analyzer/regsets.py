@@ -29,43 +29,19 @@ Two deliberate strengthenings over the paper's Figure 6 pseudocode:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.analysis.dominators import DominatorTree
-from repro.analysis.packed import iter_bits
-from repro.analyzer.clusters import Cluster
+from repro.analysis.packed import PackedGraph, iter_bits
 from repro.callgraph.graph import CallGraph
 from repro.obs.tracer import current_tracer
 from repro.target.registers import CALLEE_SAVES, CALLER_SAVES
 
 
-def _regs_mask(registers) -> int:
-    """Register set -> bitmask (registers are small ints, so the bit
-    position *is* the register number)."""
-    mask = 0
-    for register in registers:
-        mask |= 1 << register
-    return mask
-
-
-_CALLER_SAVES_MASK = _regs_mask(CALLER_SAVES)
-_CALLEE_SAVES_MASK = _regs_mask(CALLEE_SAVES)
-
-#: mask -> register tuple.  Register masks draw from one machine word
-#: and only a handful of distinct values occur per program, so decoding
-#: is memoized (the final masks->RegisterSets conversion runs once per
-#: procedure).
-_REGS_OF_MASK: dict[int, tuple] = {}
-
-
-def _regs_of(mask: int) -> tuple:
-    registers = _REGS_OF_MASK.get(mask)
-    if registers is None:
-        registers = tuple(iter_bits(mask))
-        _REGS_OF_MASK[mask] = registers
-    return registers
-
+# Register sets as bitmasks: registers are small ints, so the bit
+# position *is* the register number.
+_CALLER_SAVES_MASK = sum(1 << register for register in CALLER_SAVES)
+_CALLEE_SAVES_MASK = sum(1 << register for register in CALLEE_SAVES)
 
 _FROZEN_OF_MASK: dict[int, frozenset] = {}
 
@@ -77,223 +53,220 @@ def _frozen_of(mask: int) -> frozenset:
     return value
 
 
-@dataclass
-class RegisterSets:
-    """Mutable per-procedure usage sets during analysis."""
+class RegisterSets(NamedTuple):
+    """One procedure's usage sets.  Procedures with equal sets share one
+    instance, so it is immutable."""
 
-    free: set = field(default_factory=set)
-    caller: set = field(default_factory=set)
-    callee: set = field(default_factory=set)
-    mspill: set = field(default_factory=set)
+    free: frozenset
+    caller: frozenset
+    callee: frozenset
+    mspill: frozenset
 
 
 def compute_register_sets(
     graph: CallGraph,
     clusters: list,
     dominators: Optional[DominatorTree] = None,
-    web_reserved: Optional[dict] = None,
-) -> dict:
+    web_reserved: Optional[list] = None,
+) -> list:
     """Compute FREE/CALLER/CALLEE/MSPILL for every procedure.
 
     Args:
         graph: Program call graph.
         clusters: Clusters from :func:`identify_clusters`.
         dominators: Call-graph dominator tree (recomputed if omitted).
-        web_reserved: procedure name -> set of registers reserved for
-            promoted globals in that procedure.
+        web_reserved: per node index of :class:`PackedGraph`, the mask
+            of the registers reserved for promoted globals there.
 
     Returns:
-        name -> :class:`RegisterSets`.
+        per node index, the node's :class:`RegisterSets`.
     """
     if dominators is None:
         dominators = graph.dominator_tree()
-    # The per-procedure sets and the AVAIL intersections are register
-    # bitmasks while the clusters are processed; web-reserved registers
-    # become masks once (the dict is sparse relative to the node count).
-    reserved_masks = {
-        name: _regs_mask(registers)
-        for name, registers in (web_reserved or {}).items()
-        if registers
-    }
+    packed = PackedGraph.of(graph)
+    count = len(packed.names)
+    reserved = web_reserved or [0] * count
+    # Per-node register bitmasks while the clusters are processed.
+    free = [0] * count
+    caller = [_CALLER_SAVES_MASK] * count
+    callee = [_CALLEE_SAVES_MASK & ~mask for mask in reserved]
+    mspill = [0] * count
+    masks = (free, caller, callee, mspill)
 
-    # Per-name [free, caller, callee, mspill] masks.
-    masks: dict[str, list] = {}
-    for name in graph.nodes:
-        reserved = reserved_masks.get(name, 0)
-        masks[name] = [
-            0, _CALLER_SAVES_MASK, _CALLEE_SAVES_MASK & ~reserved, 0
-        ]
+    index_of = packed.index.index_of
+    roots = [False] * count
+    for cluster in clusters:
+        roots[index_of[cluster.root]] = True
+    avail = [0] * count
+    nodes = graph.nodes
+    need = [
+        nodes[name].summary.callee_saves_needed for name in packed.names
+    ]
 
-    roots = {cluster.root for cluster in clusters}
-    avail: dict[str, int] = {}
-
+    # child-MSPILL mask -> preallocation order: a program has a handful
+    # of distinct masks, so each order is sorted once.
+    orders: dict = {}
+    tracer = current_tracer()
     for cluster in _bottom_up(clusters, dominators):
-        _process_cluster_packed(
-            graph, cluster, roots, masks, avail, reserved_masks
+        _process_cluster(
+            packed, index_of[cluster.root],
+            [index_of[name] for name in cluster.members],
+            roots, masks, avail, reserved, need, orders, tracer,
         )
-    # The emitted sets are frozen and shared across procedures carrying
-    # the same mask — nothing mutates them after the fixpoint, and the
-    # directive builder's ``frozenset(...)`` wrapping becomes identity.
-    return {
-        name: RegisterSets(
-            free=_frozen_of(free),
-            caller=_frozen_of(caller),
-            callee=_frozen_of(callee),
-            mspill=_frozen_of(mspill),
-        )
-        for name, (free, caller, callee, mspill) in masks.items()
-    }
+    # Procedures with equal masks share one RegisterSets of shared
+    # frozensets: nothing mutates them after the fixpoint.
+    shared: dict = {}
+    result = []
+    for key in zip(free, caller, callee, mspill):
+        sets = shared.get(key)
+        if sets is None:
+            sets = shared[key] = RegisterSets(*map(_frozen_of, key))
+        result.append(sets)
+    return result
 
 
-def _process_cluster_packed(
-    graph: CallGraph,
-    cluster: Cluster,
-    roots: set,
-    masks: dict,
-    avail: dict,
-    reserved_masks: dict,
+def _process_cluster(
+    packed: PackedGraph,
+    root: int,
+    members: list,
+    roots: list,
+    masks: tuple,
+    avail: list,
+    reserved: list,
+    need: list,
+    orders: dict,
+    tracer,
 ) -> None:
-    root = cluster.root
-    members = cluster.members
-
+    free, caller, callee, mspill = masks
+    child_mspill = 0
+    reserved_in_cluster = reserved[root]
+    for i in members:
+        if roots[i]:
+            child_mspill |= mspill[i]
+        reserved_in_cluster |= reserved[i]
     # Preallocation order: registers *not* in a child root's MSPILL
     # first, so those stay available for upward motion.
-    child_mspill = 0
-    for name in members:
-        if name in roots:
-            child_mspill |= masks[name][3]
-    order = sorted(
-        CALLEE_SAVES, key=lambda r: (child_mspill >> r & 1, r)
-    )
-
-    reserved_in_cluster = 0
-    for name in cluster.all_nodes:
-        reserved_in_cluster |= reserved_masks.get(name, 0)
+    order = orders.get(child_mspill)
+    if order is None:
+        order = orders[child_mspill] = sorted(
+            CALLEE_SAVES, key=lambda r: (child_mspill >> r & 1, r)
+        )
 
     # Root's own callee-saves selection: take the registers *least*
     # attractive for preallocation (end of the priority order), skipping
     # web-reserved registers.
-    selectable = [
-        r for r in order if not reserved_in_cluster >> r & 1
-    ]
-    need = graph.nodes[root].summary.callee_saves_needed
-    root_masks = masks[root]
-    root_callee = _regs_mask(selectable[max(0, len(selectable) - need):])
-    root_masks[2] = root_callee
-    avail[root] = _regs_mask(selectable) & ~root_callee
+    root_callee = 0
+    wanted = need[root]
+    if wanted > 0:
+        for register in reversed(order):
+            if not reserved_in_cluster >> register & 1:
+                root_callee |= 1 << register
+                wanted -= 1
+                if not wanted:
+                    break
+    callee[root] = root_callee
+    avail[root] = _CALLEE_SAVES_MASK & ~reserved_in_cluster & ~root_callee
 
-    used = [0]
-    visited: set = {root}
+    used = 0
     # Kahn worklist over the (acyclic) cluster subgraph: a member is
     # ready once every predecessor has been processed, and among ready
-    # members the smallest name goes first.  Predecessor maps have
-    # unique keys, so counting avoids a per-node set difference.
-    pending = set(members)
-    unresolved = {
-        name: sum(
-            1 for p in graph.nodes[name].predecessors if p not in visited
-        )
-        for name in pending
-    }
-    ready = [name for name in pending if unresolved[name] == 0]
+    # members the smallest index (name) goes first.  Every predecessor
+    # of a member is in the cluster, so each waits for all of its
+    # predecessors but the root.
+    pred = packed.pred
+    succ = packed.succ
+    unresolved = {}
+    ready = []
+    for i in members:
+        waiting = len(pred[i]) - (root in pred[i])
+        if waiting:
+            unresolved[i] = waiting
+        else:
+            ready.append(i)
     heapq.heapify(ready)
     while ready:
-        name = heapq.heappop(ready)
-        _preallocate_node_packed(
-            graph, name, roots, masks, avail, order, used, root
-        )
-        visited.add(name)
-        pending.discard(name)
-        for successor in graph.nodes[name].successors:
-            if successor in pending:
-                unresolved[successor] -= 1
-                if unresolved[successor] == 0:
-                    heapq.heappush(ready, successor)
-    if pending:  # pragma: no cover - clusters are acyclic
+        i = heapq.heappop(ready)
+        node_avail = None
+        for p in pred[i]:
+            node_avail = (
+                avail[p] if node_avail is None else node_avail & avail[p]
+            )
+        node_avail = node_avail or 0
+        if roots[i]:
+            # A nested cluster root: move its spill code upward.
+            spilled = mspill[i]
+            moved = spilled & node_avail
+            used |= moved
+            if tracer.enabled:
+                _trace_migration(
+                    tracer, packed.names, i, root, moved,
+                    spilled & ~node_avail,
+                )
+            mspill[i] = spilled & ~node_avail
+            freed = callee[i] & node_avail
+            used |= freed
+            free[i] |= freed
+            callee[i] &= ~freed
+            # Strengthening: the child's FREE registers may hold values
+            # across its calls, so its in-cluster successors must not
+            # preallocate them.
+            avail[i] = node_avail & ~free[i]
+        else:
+            # Figure 6's Get_Registers: up to ``need`` available
+            # registers in the cluster's priority order.
+            wanted = need[i]
+            taken = 0
+            if wanted > 0:
+                for register in order:
+                    if node_avail >> register & 1:
+                        taken |= 1 << register
+                        wanted -= 1
+                        if not wanted:
+                            break
+            free[i] |= taken
+            node_avail &= ~taken
+            callee[i] &= ~(taken | node_avail)
+            used |= taken
+            avail[i] = node_avail
+        for j in succ[i]:
+            waiting = unresolved.get(j)
+            if waiting == 1:
+                del unresolved[j]
+                heapq.heappush(ready, j)
+            elif waiting is not None:
+                unresolved[j] = waiting - 1
+    if unresolved:  # pragma: no cover - clusters are acyclic
         raise AssertionError(
-            f"cluster {root}: could not order members {sorted(pending)}"
+            f"cluster {packed.names[root]}: could not order members "
+            f"{sorted(packed.names[i] for i in unresolved)}"
         )
 
-    root_masks[3] |= used[0]
+    mspill[root] |= used
     # Post-pass (Figure 7): callee-saves registers the root spills that
     # remain available at an intermediate node can serve as extra
     # caller-saves registers there.
-    for name in members:
-        if name in roots:
-            continue
-        masks[name][1] |= avail[name] & root_masks[3]
+    root_mspill = mspill[root]
+    for i in members:
+        if not roots[i]:
+            caller[i] |= avail[i] & root_mspill
 
 
-def _preallocate_node_packed(
-    graph: CallGraph,
-    name: str,
-    roots: set,
-    masks: dict,
-    avail: dict,
-    order: list,
-    used: list,
-    cluster_root: Optional[str] = None,
-) -> None:
-    node_avail = None
-    for predecessor in graph.nodes[name].predecessors:
-        pred_avail = avail.get(predecessor, 0)
-        node_avail = (
-            pred_avail if node_avail is None else node_avail & pred_avail
+def _trace_migration(tracer, names, i, root, moved, kept) -> None:
+    if moved:
+        tracer.event(
+            "mspill-migrated",
+            node=names[i],
+            cluster_root=names[root],
+            registers=set(iter_bits(moved)),
         )
-    if node_avail is None:
-        node_avail = 0
-    node_masks = masks[name]
-
-    if name in roots:
-        # A nested cluster root: move its spill code upward.
-        mspill = node_masks[3]
-        moved = mspill & node_avail
-        used[0] |= moved
-        tracer = current_tracer()
-        if tracer.enabled:
-            kept = mspill & ~node_avail
-            if moved:
-                tracer.event(
-                    "mspill-migrated",
-                    node=name,
-                    cluster_root=cluster_root,
-                    registers=set(iter_bits(moved)),
-                )
-            if kept:
-                tracer.event(
-                    "mspill-kept",
-                    node=name,
-                    cluster_root=cluster_root,
-                    registers=set(iter_bits(kept)),
-                    reason="not-available-on-all-paths",
-                )
-        node_masks[3] = mspill & ~node_avail
-        freed = node_masks[2] & node_avail
-        used[0] |= freed
-        node_masks[0] |= freed
-        node_masks[2] &= ~freed
-        # Strengthening: the child's FREE registers may hold values
-        # across its calls, so its in-cluster successors must not
-        # preallocate them.
-        avail[name] = node_avail & ~node_masks[0]
-    else:
-        # Figure 6's Get_Registers: up to ``need`` available registers
-        # in the cluster's priority order.
-        need = graph.nodes[name].summary.callee_saves_needed
-        taken = 0
-        if need > 0:
-            count = 0
-            for register in order:
-                if node_avail >> register & 1:
-                    taken |= 1 << register
-                    count += 1
-                    if count >= need:
-                        break
-        node_masks[0] |= taken
-        node_avail &= ~taken
-        node_masks[2] &= ~(taken | node_avail)
-        used[0] |= taken
-        avail[name] = node_avail
+    if kept:
+        tracer.event(
+            "mspill-kept",
+            node=names[i],
+            cluster_root=names[root],
+            registers=set(iter_bits(kept)),
+            reason="not-available-on-all-paths",
+        )
 
 
 def _bottom_up(clusters: list, dominators: DominatorTree) -> list:

@@ -179,7 +179,7 @@ def identify_variable_webs(
         # seed one web with each such strongly connected component.
         uncovered = [i for i in referencing if i not in covered]
         if uncovered:
-            scc_of = packed.scc_of(graph)
+            scc_of = packed.scc_of()
             seen: set = set()
             for i in uncovered:
                 if i in seen or i in covered:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.analysis.dominators import DominatorTree, compute_dominators
+from repro.analysis.packed import PackedGraph
 from repro.frontend.summary import ModuleSummary, ProcedureSummary
 
 # Weight multiplier applied to members of recursive components, mirroring
@@ -146,63 +147,19 @@ class CallGraph:
     def strongly_connected_components(self) -> list[list[str]]:
         """Tarjan's algorithm; components in reverse topological order.
 
-        The result is memoized (topology is immutable once built) and
+        The components of :meth:`PackedGraph.components`, named.  The
+        result is memoized (topology is immutable once built) and
         shared between callers — callers must not mutate it.
         """
         cached = getattr(self, "_scc_cache", None)
-        if cached is not None:
-            return cached
-        index_counter = [0]
-        stack: list[str] = []
-        lowlink: dict[str, int] = {}
-        index: dict[str, int] = {}
-        on_stack: set[str] = set()
-        components: list[list[str]] = []
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(sorted(self.nodes[root].successors)))]
-            index[root] = lowlink[root] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in index:
-                        index[successor] = lowlink[successor] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append(
-                            (successor,
-                             iter(sorted(self.nodes[successor].successors)))
-                        )
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-
-        for name in sorted(self.nodes):
-            if name not in index:
-                strongconnect(name)
-        self._scc_cache = components
-        return components
+        if cached is None:
+            packed = PackedGraph.of(self)
+            names = packed.names
+            cached = self._scc_cache = [
+                [names[i] for i in component]
+                for component in packed.components()
+            ]
+        return cached
 
     def recursive_nodes(self) -> set[str]:
         """Nodes on some recursive call chain (SCC > 1 or self loop)."""
@@ -235,44 +192,50 @@ class CallGraph:
                 )
             return
 
-        components = self.strongly_connected_components()
-        component_of: dict[str, int] = {}
+        # On node indices; the components and each node's successors
+        # keep their order, so every float sum runs in the same order.
+        packed = PackedGraph.of(self)
+        nodes = [self.nodes[name] for name in packed.names]
+        components = packed.components()
+        component_of = [0] * len(nodes)
         for comp_index, component in enumerate(components):
-            for name in component:
-                component_of[name] = comp_index
+            for i in component:
+                component_of[i] = comp_index
 
-        weights = {name: 0.0 for name in self.nodes}
+        weights = [0.0] * len(nodes)
+        index_of = packed.index.index_of
         for start in self.start_nodes():
-            weights[start] = 1.0
+            weights[index_of[start]] = 1.0
 
         # Reverse topological order of SCCs -> process callers first.
+        succ = packed.succ
         for component in reversed(components):
-            is_recursive = len(component) > 1 or any(
-                name in self.nodes[name].successors for name in component
-            )
+            first = component[0]
+            is_recursive = len(component) > 1 or first in succ[first]
             if is_recursive:
                 boost = RECURSION_BOOST
-                for name in component:
-                    weights[name] = min(
-                        weights[name] * boost or 0.0, _MAX_WEIGHT
-                    )
+                for i in component:
+                    weights[i] = min(weights[i] * boost or 0.0, _MAX_WEIGHT)
                 # Distribute entry weight across the component: every
                 # member is assumed to run as often as the component.
-                total = sum(weights[name] for name in component)
+                total = sum(weights[i] for i in component)
                 total = min(max(total, 1.0) * boost, _MAX_WEIGHT)
-                for name in component:
-                    weights[name] = max(weights[name], total)
-            for name in component:
-                node_weight = max(weights[name], 0.0)
-                for callee, local_freq in self.nodes[name].successors.items():
-                    if component_of[callee] == component_of[name]:
+                for i in component:
+                    weights[i] = max(weights[i], total)
+            for i in component:
+                node_weight = max(weights[i], 0.0)
+                home = component_of[i]
+                for callee, local_freq in zip(
+                    succ[i], nodes[i].successors.values()
+                ):
+                    if component_of[callee] == home:
                         continue  # intra-component edges already handled
                     weights[callee] = min(
                         weights[callee] + node_weight * local_freq,
                         _MAX_WEIGHT,
                     )
-        for name, node in self.nodes.items():
-            node.weight = weights[name]
+        for node, weight in zip(nodes, weights):
+            node.weight = weight
 
     def edge_weight(self, caller: str, callee: str,
                     profile=None) -> float:

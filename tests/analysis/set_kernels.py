@@ -13,8 +13,10 @@ the equations, as the differential suite's oracle:
 * web growth, merging and recursive-cycle seeding (Figure 2) on sets of
   procedure names, handed on as ``src/``'s node-index webs;
 * web interference (section 4.1.3);
-* FREE / CALLER / CALLEE / MSPILL (Figure 6), with the historical
-  sort-and-rescan member sweep in place of the Kahn worklist.
+* FREE / CALLER / CALLEE / MSPILL (Figure 6) on sets of procedure
+  names, with the historical sort-and-rescan member sweep in place of
+  the Kahn worklist, handed on as ``src/``'s per-node-index
+  ``RegisterSets``.
 
 :func:`use_set_kernels` patches these in where the pipeline looks each
 kernel up, so a test runs the same ``analyze_program`` or compile on
@@ -23,10 +25,11 @@ same order as the packed kernel; any other order renumbers the webs.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.analysis.liveness import BlockLiveness, LivenessResult
-from repro.analysis.packed import DenseIndex, PackedGraph
+from repro.analysis.packed import DenseIndex, PackedGraph, iter_bits
 from repro.analyzer.interference import (
     WebInterferenceGraph as _PackedInterferenceGraph,
 )
@@ -433,16 +436,32 @@ class WebInterferenceGraph(_PackedInterferenceGraph):
 # -- register sets (Figure 6) -------------------------------------------
 
 
+@dataclass
+class _Sets:
+    """One procedure's usage sets while the clusters are processed."""
+
+    free: set
+    caller: set
+    callee: set
+    mspill: set
+
+
 def compute_register_sets(
     graph, clusters: list, dominators=None, web_reserved=None
-) -> dict:
+) -> list:
+    """Takes and returns ``src/``'s per-node-index forms: a mask of
+    web-reserved registers and a :class:`RegisterSets` per node."""
     if dominators is None:
         dominators = graph.dominator_tree()
-    web_reserved = web_reserved or {}
-    sets: dict[str, RegisterSets] = {}
+    names = PackedGraph.of(graph).names
+    web_reserved = {
+        name: set(iter_bits(mask))
+        for name, mask in zip(names, web_reserved or ())
+    }
+    sets: dict[str, _Sets] = {}
     for name in graph.nodes:
-        reserved = set(web_reserved.get(name, ()))
-        sets[name] = RegisterSets(
+        reserved = web_reserved.get(name, set())
+        sets[name] = _Sets(
             free=set(),
             caller=set(CALLER_SAVES),
             callee=set(CALLEE_SAVES) - reserved,
@@ -452,7 +471,15 @@ def compute_register_sets(
     avail: dict[str, set] = {}
     for cluster in _bottom_up(clusters, dominators):
         _process_cluster(graph, cluster, roots, sets, avail, web_reserved)
-    return sets
+    return [
+        RegisterSets(
+            *(frozenset(registers) for registers in (
+                sets[name].free, sets[name].caller, sets[name].callee,
+                sets[name].mspill,
+            ))
+        )
+        for name in names
+    ]
 
 
 def _cluster_register_order(child_mspill: set) -> list:

@@ -4,6 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.packed import PackedGraph
+from repro.analyzer import clusters as clusters_module
 from repro.analyzer.clusters import (
     Cluster,
     ClusterOptions,
@@ -178,3 +180,106 @@ def test_cluster_invariants_on_random_graphs(seed):
     dominators = graph.dominator_tree()
     clusters = identify_clusters(graph, dominators)
     check_cluster_invariants(graph, dominators, clusters)
+
+
+# -- cluster growth against the round-based fixpoint --------------------
+#
+# ``_grow_cluster`` admits a node once its last predecessor has joined
+# and tests only the node's edge to the root for the recursive-cycle
+# rule.  The fixpoint below is the growth it replaced: rounds over the
+# sorted frontier until nothing joins, with a full in-cluster cycle
+# search per candidate.  Both must grow the same cluster from every
+# root.
+
+
+def _fixpoint_growth(graph, root, nearest_root, self_recursive):
+    cluster_nodes = {root}
+    changed = True
+    while changed:
+        changed = False
+        frontier = set()
+        for name in cluster_nodes:
+            frontier.update(graph.nodes[name].successors)
+        for candidate in sorted(frontier - cluster_nodes):
+            if nearest_root.get(candidate) != root:
+                continue
+            if candidate in self_recursive:
+                continue
+            predecessors = set(graph.nodes[candidate].predecessors)
+            if not predecessors or not predecessors <= cluster_nodes:
+                continue
+            if _closes_cycle(graph, cluster_nodes, candidate):
+                continue
+            cluster_nodes.add(candidate)
+            changed = True
+    return cluster_nodes - {root}
+
+
+def _closes_cycle(graph, cluster_nodes, candidate):
+    worklist = [
+        s for s in graph.nodes[candidate].successors if s in cluster_nodes
+    ]
+    visited = set()
+    while worklist:
+        name = worklist.pop()
+        if name == candidate:
+            return True
+        if name in visited:
+            continue
+        visited.add(name)
+        for successor in graph.nodes[name].successors:
+            if successor == candidate:
+                return True
+            if successor in cluster_nodes and successor not in visited:
+                worklist.append(successor)
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_growth_matches_fixpoint_on_random_graphs(seed):
+    rng = random.Random(seed ^ 0xC1)
+    size = rng.randint(3, 16)
+    names = [f"p{i:02d}" for i in range(size)]
+    procs = {}
+    for i, name in enumerate(names):
+        calls = {}
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.8 and names[i + 1:]:
+                target = rng.choice(names[i + 1:])
+            else:
+                target = rng.choice(names)
+            calls[target] = rng.randint(1, 200)
+        procs[name] = {"calls": calls}
+    graph, _ = build_graph(procs)
+    packed = PackedGraph.of(graph)
+    dominators = graph.dominator_tree()
+    index_of = packed.index.index_of
+    idom = [
+        index_of.get(dominators.immediate_dominator(name), -1)
+        for name in packed.names
+    ]
+    recursive = [i in succ for i, succ in enumerate(packed.succ)]
+    # Every reachable node a root: the most growth to compare.
+    reachable = dominators.reachable_nodes
+    roots = [
+        name in reachable and not recursive[i]
+        for i, name in enumerate(packed.names)
+    ]
+    nearest = clusters_module._nearest_dominating_roots(idom, roots)
+    nearest_by_name = {
+        packed.names[i]: packed.names[j]
+        for i, j in enumerate(nearest) if j >= 0
+    }
+    self_recursive = {
+        packed.names[i] for i, flag in enumerate(recursive) if flag
+    }
+    for root, is_root in enumerate(roots):
+        if not is_root:
+            continue
+        grown = clusters_module._grow_cluster(
+            packed, root, nearest, recursive
+        )
+        assert {packed.names[i] for i in grown} == _fixpoint_growth(
+            graph, packed.names[root], nearest_by_name, self_recursive
+        )

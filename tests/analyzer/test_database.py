@@ -1,5 +1,8 @@
 """Program database tests (paper section 4.3)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.analyzer.database import (
@@ -8,7 +11,9 @@ from repro.analyzer.database import (
     PromotedGlobal,
     default_directives,
 )
+from repro.analyzer.driver import AnalyzerOptions, analyze_program
 from repro.target.registers import CALLEE_SAVES, CALLER_SAVES
+from tests.support import FIGURE3_GLOBALS, FIGURE3_PROCS, build_graph
 
 
 def test_default_directives_are_standard_convention():
@@ -115,3 +120,59 @@ def test_json_round_trip():
     root = restored.get("root")
     assert root.is_cluster_root
     assert root.mspill == frozenset({20})
+
+
+def test_promoted_global_value_semantics():
+    record = PromotedGlobal(
+        "g", 31, is_entry=True, needs_store=False, wrap_callees=("h",)
+    )
+    assert record == PromotedGlobal("g", 31, True, False, ("h",))
+    assert record != PromotedGlobal("g", 31, True, True, ("h",))
+    assert PromotedGlobal("g", 31) == PromotedGlobal("g", 31, False, True, ())
+    # The hash of the field values, as the frozen dataclass's was.
+    assert hash(record) == hash(("g", 31, True, False, ("h",)))
+    assert repr(record) == (
+        "PromotedGlobal(name='g', register=31, is_entry=True, "
+        "needs_store=False, wrap_callees=('h',))"
+    )
+
+
+@pytest.mark.parametrize(
+    "field", ["name", "register", "is_entry", "needs_store", "wrap_callees"]
+)
+def test_promoted_global_is_immutable(field):
+    # Procedures share records, so none may be changed in place.
+    record = PromotedGlobal("g", 31)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert record == PromotedGlobal("g", 31)
+
+
+def test_promoted_globals_json_round_trip():
+    records = (
+        PromotedGlobal("g", 31, is_entry=True, needs_store=False),
+        PromotedGlobal("h", 30, wrap_callees=("leaf", "other")),
+    )
+    database = ProgramDatabase()
+    database.put(
+        ProcedureDirectives(
+            name="f",
+            callee=frozenset(CALLEE_SAVES) - {30, 31},
+            promoted=records,
+        )
+    )
+    restored = ProgramDatabase.from_json(database.to_json())
+    assert restored.get("f").promoted == records
+    assert restored.to_json() == database.to_json()
+
+
+def test_web_census_survives_copies():
+    """The census is built on first read; a copy or a pickle taken
+    before that read carries the same records."""
+    _, summary = build_graph(FIGURE3_PROCS, FIGURE3_GLOBALS)
+    database = analyze_program([summary], AnalyzerOptions.config("C"))
+    copied = copy.deepcopy(database)
+    unpickled = pickle.loads(pickle.dumps(database))
+    assert database.webs
+    assert copied.webs == database.webs
+    assert unpickled.webs == database.webs

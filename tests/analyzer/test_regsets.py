@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.packed import PackedGraph
 from repro.analyzer.clusters import identify_clusters
 from repro.analyzer.regsets import (
     RegisterSets,
@@ -16,11 +17,29 @@ from tests.analysis import set_kernels
 from tests.support import build_graph
 
 
+def reserved_masks(graph, web_reserved):
+    """``name -> registers`` as ``compute_register_sets``' per-node
+    masks (None for none)."""
+    if not web_reserved:
+        return None
+    return [
+        sum(1 << register for register in web_reserved.get(name, ()))
+        for name in PackedGraph.of(graph).names
+    ]
+
+
+def sets_by_name(graph, sets):
+    """``compute_register_sets``' per-node result keyed by name."""
+    return dict(zip(PackedGraph.of(graph).names, sets))
+
+
 def analyze(procs, globals_=(), web_reserved=None):
     graph, _ = build_graph(procs, globals_)
     dominators = graph.dominator_tree()
     clusters = identify_clusters(graph, dominators)
-    sets = compute_register_sets(graph, clusters, dominators, web_reserved)
+    sets = sets_by_name(graph, compute_register_sets(
+        graph, clusters, dominators, reserved_masks(graph, web_reserved)
+    ))
     roots = {c.root for c in clusters}
     check_register_set_invariants(sets, roots)
     return graph, clusters, sets
@@ -211,7 +230,9 @@ def test_register_set_invariants_on_random_graphs(seed):
     graph, _ = build_graph(procs)
     dominators = graph.dominator_tree()
     clusters = identify_clusters(graph, dominators)
-    sets = compute_register_sets(graph, clusters, dominators, web_reserved)
+    sets = sets_by_name(graph, compute_register_sets(
+        graph, clusters, dominators, reserved_masks(graph, web_reserved)
+    ))
     roots = {c.root for c in clusters}
     check_register_set_invariants(sets, roots)
     # FREE registers of a callee never overlap FREE of a caller on an
@@ -280,7 +301,7 @@ def test_invariant_rejects_unearned_extra_caller():
     with pytest.raises(AssertionError, match="MSPILL"):
         check_register_set_invariants(sets, roots={"root"})
     # Once a root actually spills the register, the grant is earned.
-    sets["root"].mspill = {extra}
+    sets["root"] = sets["root"]._replace(mspill={extra})
     check_register_set_invariants(sets, roots={"root"})
 
 
@@ -302,7 +323,7 @@ def test_invariant_rejects_web_reserved_in_any_set():
 # -- worklist rewrite equivalence ---------------------------------------
 #
 # compute_register_sets orders cluster members with a Kahn worklist over
-# bitmasks; the set-based oracle keeps the original sweep, which
+# node indices; the set-based oracle keeps the original sweep, which
 # re-sorts and re-scans the whole pending set after every node.  The
 # rewrite must be a pure strength reduction: identical RegisterSets,
 # node for node.
@@ -327,9 +348,10 @@ def test_worklist_matches_reference_sweep_on_random_graphs(seed):
     graph, _ = build_graph(procs)
     dominators = graph.dominator_tree()
     clusters = identify_clusters(graph, dominators)
-    new = compute_register_sets(graph, clusters, dominators, web_reserved)
+    masks = reserved_masks(graph, web_reserved)
+    new = compute_register_sets(graph, clusters, dominators, masks)
     old = set_kernels.compute_register_sets(
-        graph, clusters, dominators, web_reserved
+        graph, clusters, dominators, masks
     )
     assert new == old
 

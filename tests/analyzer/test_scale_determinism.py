@@ -1,4 +1,4 @@
-"""Determinism at scale: 1000 synthesized procedures, byte-pinned.
+"""Determinism at scale: 1000 (and 10 000) synthesized procedures, byte-pinned.
 
 The analyzer's output must be a pure function of its input — equal to
 the set-based oracle's (``tests/analysis/set_kernels.py``) and
@@ -19,7 +19,8 @@ import sys
 import pytest
 
 from repro.analysis.packed import DenseIndex
-from repro.analyzer import webs
+from repro.analyzer import driver, webs
+from repro.analyzer.database import PromotedGlobal
 from repro.analyzer.driver import AnalyzerOptions, analyze_program
 from repro.verify.progen import FuzzProgramGenerator
 from tests.analysis.set_kernels import use_set_kernels
@@ -43,6 +44,18 @@ GOLDEN = {
           "dfd12643c523e81e641fb4bfaf75b241f6c85a3bffff9aca5663eea8b35fbe59"),
     "E": ("1b6bddc74e7ba143fa31e9eab3d748a46ce270688bac2b34e3adba9351c08e8c",
           "7eb556b9412169946286ccd62e7ce326daa4c5bb1a70d61320abf4d77a432e04"),
+}
+
+
+#: config -> sha256 of ``to_json()`` for ``synthesize_large(200,
+#: 10_000)`` seed 0, recorded from the analyzer whose back half (weights,
+#: clusters, register sets and the directive loop) still ran on
+#: procedure names.  These stages run on both sides of the oracle
+#: comparison, and the 1k program is one shape; a second, larger one
+#: guards them.
+GOLDEN_10K = {
+    "C": "c91f8ef8caf4b0197d18d883017e82a5d823a435de5ae25c12252bf2d67a8f47",
+    "D": "ffb6206b8e0e2c018b49a9c19409c467d2fc7e983a956acdf92790cc3fa337f4",
 }
 
 
@@ -85,6 +98,20 @@ def test_golden_digests_at_1k_scale(summaries):
     assert _digests(summaries) == GOLDEN
 
 
+@pytest.mark.slow
+def test_golden_digests_at_10k_scale():
+    summaries = FuzzProgramGenerator(0).synthesize_large(200, 10_000)
+    digests = {
+        config: _sha256(
+            analyze_program(
+                summaries, AnalyzerOptions.config(config)
+            ).to_json()
+        )
+        for config in GOLDEN_10K
+    }
+    assert digests == GOLDEN_10K
+
+
 def test_packed_matches_reference_at_1k_scale(monkeypatch, summaries):
     packed = _digests(summaries)
     use_set_kernels(monkeypatch)
@@ -92,12 +119,16 @@ def test_packed_matches_reference_at_1k_scale(monkeypatch, summaries):
 
 
 def test_names_decoded_once_at_1k_scale(monkeypatch, summaries):
-    """Config C decodes no L_REF/P_REF/C_REF mask to a set, and names
-    each web's members and entries once.  Every web's census record
-    needs both name sets, so ``2 * len(database.webs)`` decodes means
-    one of each per web."""
+    """Config C decodes no L_REF/P_REF/C_REF mask to a set, and no web's
+    procedure names while it analyzes: no web is split, so the
+    directives need none.  The web census is built on first read, which
+    names each web's members and entries once; a second read decodes
+    nothing.  The analysis builds one ``PromotedGlobal`` per distinct
+    record (2,562 for 4,017 promoted entries).  Every count here repeats
+    exactly, so a decode or a record that comes back shows."""
     row_decodes = []
     name_decodes = []
+    records = []
     set_of = DenseIndex.set_of
     node_names = webs.node_names
 
@@ -109,12 +140,27 @@ def test_names_decoded_once_at_1k_scale(monkeypatch, summaries):
         name_decodes.append(len(indices))
         return node_names(names, indices)
 
+    def counting_record(*args):
+        records.append(args)
+        return PromotedGlobal(*args)
+
     monkeypatch.setattr(DenseIndex, "set_of", counting_set_of)
     monkeypatch.setattr(webs, "node_names", counting_node_names)
+    monkeypatch.setattr(driver, "PromotedGlobal", counting_record)
     database = analyze_program(summaries, AnalyzerOptions.config("C"))
     assert row_decodes == []
-    assert len(database.webs) == 2688
-    assert len(name_decodes) == 2 * len(database.webs)
+    assert name_decodes == []
+    assert len(records) == 2562
+    assert sum(
+        len(directives.promoted)
+        for directives in database.procedures.values()
+    ) == 4017
+    census = database.webs
+    assert len(census) == 2688
+    assert len(name_decodes) == 2 * len(census)
+    assert database.webs is census
+    assert len(name_decodes) == 2 * len(census)
+    assert row_decodes == []
 
 
 _SUBPROCESS_SCRIPT = """
