@@ -19,9 +19,8 @@ LOOSE = WebOptions(min_lref_ratio=0.0, min_single_node_refs=0.0)
 def _build_webs(graph, eligible):
     sets = compute_reference_sets(graph, eligible)
     webs = identify_webs(graph, sets, eligible, LOOSE)
-    interference = WebInterferenceGraph(webs)
-    color_webs_priority(webs, interference, graph, num_registers=2)
-    return webs, interference
+    color_webs_priority(webs, graph, num_registers=2)
+    return webs, WebInterferenceGraph(webs)
 
 
 def test_table2_webs(benchmark):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.analysis.packed import iter_bits
 from repro.analyzer.interference import WebInterferenceGraph
 from repro.analyzer.webs import Web
 from repro.callgraph.graph import CallGraph
@@ -54,7 +54,8 @@ def web_priority_parts(web: Web, graph: CallGraph) -> tuple:
     depends on how the set was built, and the priority (and everything
     downstream of its ordering) must not.  Plain ``sum`` would round
     differently and could move priorities, and with them the database
-    bytes.
+    bytes.  A one-member web has at most one term per sum, and the
+    ``fsum`` of one term is that term, so it skips the lists.
     """
     # (global_refs, clamped weight) per node index, memoized on the
     # graph: priorities touch every member of every live web, and the
@@ -69,8 +70,17 @@ def web_priority_parts(web: Web, graph: CallGraph) -> tuple:
             for name in web.names
         ]
     variable = web.variable
+    members = web.members
+    if len(members) == 1:
+        (i,) = members
+        refs, weight = info[i]
+        refs = refs.get(variable, 0)
+        return (
+            REFERENCE_GAIN * refs * weight if refs else 0.0,
+            ENTRY_CALL_COST * weight if i in web.entries else 0.0,
+        )
     terms = []
-    for i in web.members:
+    for i in members:
         entry = info[i]
         refs = entry[0].get(variable, 0)
         if refs:
@@ -86,6 +96,13 @@ def compute_web_priority(web: Web, graph: CallGraph) -> float:
     """Estimated dynamic benefit of promoting ``web`` (section 4.1.3)."""
     benefit, entry_cost = web_priority_parts(web, graph)
     return benefit - entry_cost
+
+
+def _register_mask(registers) -> int:
+    mask = 0
+    for register in registers:
+        mask |= 1 << register
+    return mask
 
 
 def _coloring_event(tracer, web, graph, colored, interference,
@@ -122,9 +139,56 @@ def _coloring_event(tracer, web, graph, colored, interference,
         )
 
 
+def _color(webs: list, graph: CallGraph, allowed_of) -> None:
+    """Color the live ``webs`` in priority order, each with the highest
+    register in the mask ``allowed_of(web)`` that no colored web sharing
+    a node with it holds.
+
+    Two live webs interfere exactly when they share a call-graph node
+    (section 4.1.3), so one register mask per node index — the
+    registers of the colored webs over that node — stands in for the
+    interference graph: the registers a web's colored neighbors hold
+    are the OR of its members' masks.  Both register pools run in
+    descending register order, so the first free one is the highest
+    set bit.  The graph itself is built only to name the winners in a
+    traced run's ``web-uncolored`` events.
+    """
+    tracer = current_tracer()
+    live = [web for web in webs if web.is_live]
+    for web in live:
+        web.priority = compute_web_priority(web, graph)
+    colored = interference = None
+    if tracer.enabled:
+        colored = {}
+        interference = WebInterferenceGraph(live)
+    taken_at = [0] * len(live[0].names) if live else []
+    for web in sorted(live, key=lambda w: (-w.priority, w.web_id)):
+        allowed = 0
+        if web.priority <= 0:
+            web.discarded_reason = "non-positive-priority"
+        else:
+            allowed = allowed_of(web)
+            members = web.members
+            taken = 0
+            for i in members:
+                taken |= taken_at[i]
+            free = allowed & ~taken
+            if free:
+                register = web.register = free.bit_length() - 1
+                bit = 1 << register
+                for i in members:
+                    taken_at[i] |= bit
+                if colored is not None:
+                    colored[web.web_id] = web
+        if colored is not None:
+            _coloring_event(
+                tracer, web, graph, colored, interference,
+                set(iter_bits(allowed)),
+            )
+
+
 def color_webs_priority(
     webs: list,
-    interference: WebInterferenceGraph,
     graph: CallGraph,
     num_registers: int = 6,
 ) -> None:
@@ -133,36 +197,11 @@ def color_webs_priority(
     Mutates ``web.register`` (None stays for uncolored webs) and
     ``web.priority``.
     """
-    pool = web_register_pool(num_registers)
-    tracer = current_tracer()
-    live = [web for web in webs if web.is_live]
-    for web in live:
-        web.priority = compute_web_priority(web, graph)
-    colored: dict[int, Web] = {}
-    for web in sorted(live, key=lambda w: (-w.priority, w.web_id)):
-        if web.priority <= 0:
-            web.discarded_reason = "non-positive-priority"
-        else:
-            taken = {
-                colored[n].register
-                for n in interference.neighbor_ids(web)
-                if n in colored
-            }
-            register = next((r for r in pool if r not in taken), None)
-            if register is not None:
-                web.register = register
-                colored[web.web_id] = web
-        if tracer.enabled:
-            _coloring_event(
-                tracer, web, graph, colored, interference, set(pool)
-            )
+    pool = _register_mask(web_register_pool(num_registers))
+    _color(webs, graph, lambda web: pool)
 
 
-def color_webs_greedy(
-    webs: list,
-    interference: WebInterferenceGraph,
-    graph: CallGraph,
-) -> None:
+def color_webs_greedy(webs: list, graph: CallGraph) -> None:
     """Greedy coloring constrained by member procedures' register needs.
 
     A web may only use callee-saves registers beyond the maximum
@@ -174,36 +213,36 @@ def color_webs_greedy(
     for config D.
     """
     callee_sorted = sorted(CALLEE_SAVES, reverse=True)
-    tracer = current_tracer()
-    live = [web for web in webs if web.is_live]
-    for web in live:
-        web.priority = compute_web_priority(web, graph)
-    colored: dict[int, Web] = {}
-    for web in sorted(live, key=lambda w: (-w.priority, w.web_id)):
-        allowed: list = []
-        if web.priority <= 0:
-            web.discarded_reason = "non-positive-priority"
+    # allowed[need]: the highest ``len - need`` callee-saves registers
+    # as a mask, those a web may use when a member needs ``need``.
+    allowed = [
+        _register_mask(callee_sorted[: len(callee_sorted) - need])
+        for need in range(len(callee_sorted) + 1)
+    ]
+    needs = _callee_saves_needed(graph, webs[0].names) if webs else []
+
+    def allowed_of(web: Web) -> int:
+        members = web.members
+        if len(members) == 1:
+            (i,) = members
+            need = needs[i]
         else:
-            names = web.names
-            max_need = max(
-                (graph.nodes[names[i]].summary.callee_saves_needed
-                 for i in web.members),
-                default=0,
-            )
-            allowed = callee_sorted[: max(0, len(callee_sorted) - max_need)]
-            taken = {
-                colored[n].register
-                for n in interference.neighbor_ids(web)
-                if n in colored
-            }
-            register = next((r for r in allowed if r not in taken), None)
-            if register is not None:
-                web.register = register
-                colored[web.web_id] = web
-        if tracer.enabled:
-            _coloring_event(
-                tracer, web, graph, colored, interference, set(allowed)
-            )
+            need = max([needs[i] for i in members])
+        return allowed[need] if need < len(allowed) else 0
+
+    _color(webs, graph, allowed_of)
+
+
+def _callee_saves_needed(graph: CallGraph, names: tuple) -> list:
+    """Each node's ``callee_saves_needed`` per node index, memoized on
+    the graph beside the priority terms."""
+    needs = getattr(graph, "_callee_saves_needed", None)
+    if needs is None:
+        nodes = graph.nodes
+        needs = graph._callee_saves_needed = [
+            nodes[name].summary.callee_saves_needed for name in names
+        ]
+    return needs
 
 
 @dataclass

@@ -257,14 +257,14 @@ def _run_web_promotion(
     ]
     database.statistics.webs_considered = reason_counts[None]
 
+    # The census's interference graph is over the webs coloring
+    # considers, including those it then rejects for their priority.
+    live = [web for web in webs if web.is_live]
     with tracer.span("coloring", mode=options.coloring):
-        interference = WebInterferenceGraph(webs)
         if options.coloring == "greedy":
-            color_webs_greedy(webs, interference, graph)
+            color_webs_greedy(webs, graph)
         elif options.coloring == "priority":
-            color_webs_priority(
-                webs, interference, graph, options.num_web_registers
-            )
+            color_webs_priority(webs, graph, options.num_web_registers)
         else:
             raise ValueError(f"unknown coloring mode {options.coloring!r}")
     database.statistics.webs_colored = sum(
@@ -301,7 +301,12 @@ def _run_web_promotion(
                 webs=sorted(w.web_id for w in variable_webs),
             )
 
-    database.defer_webs(lambda: _web_census(webs, interference))
+    # Looked up now: a test that patches in the set oracle's graph does
+    # so for the analysis, and the census may be read after it.
+    interference_graph = WebInterferenceGraph
+    database.defer_webs(
+        lambda: _web_census(webs, interference_graph(live))
+    )
     storing = _storing_nodes(graph)
     shared: dict = {}
     for web in webs:
@@ -343,7 +348,8 @@ def _run_web_promotion(
 
 
 def _web_census(webs: list, interference) -> list:
-    """The database's :class:`WebRecord` census of ``webs``."""
+    """The database's :class:`WebRecord` census of ``webs``;
+    ``interference`` is over the webs that were live before coloring."""
     return [
         WebRecord(
             web_id=web.web_id,
@@ -394,22 +400,24 @@ def _run_blanket_promotion(
                     w.web_id for w in webs if w.variable == variable
                 ),
             )
-    index_of = PackedGraph.of(graph).index.index_of
-    start_nodes = {index_of[name] for name in graph.start_nodes()}
     storing = _storing_nodes(graph)
-    # In name order, so that every procedure's records are too.
-    for selection in sorted(selections, key=lambda s: s.variable):
-        register = selection.register
-        needs_store = selection.variable in storing
-        # One record for the start nodes (the entries) and one for
-        # every other procedure, shared.
-        entry, inner = (
-            PromotedGlobal(selection.variable, register, is_entry,
-                           needs_store)
-            for is_entry in (True, False)
+    # In name order: one tuple of records for the start nodes (the
+    # entries) and one for every other procedure, each shared.
+    selections = sorted(selections, key=lambda s: s.variable)
+    entry, inner = (
+        tuple(
+            PromotedGlobal(s.variable, s.register, is_entry,
+                           s.variable in storing)
+            for s in selections
         )
-        bit = 1 << register
-        for i in range(len(promoted)):
-            promoted[i] += (entry,) if i in start_nodes else (inner,)
-            web_reserved[i] |= bit
+        for is_entry in (True, False)
+    )
+    reserved = 0
+    for selection in selections:
+        reserved |= 1 << selection.register
+    index_of = PackedGraph.of(graph).index.index_of
+    promoted[:] = [inner] * len(promoted)
+    for name in graph.start_nodes():
+        promoted[index_of[name]] = entry
+    web_reserved[:] = [reserved] * len(web_reserved)
     database.statistics.webs_colored = len(selections)

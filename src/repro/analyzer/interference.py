@@ -20,10 +20,16 @@ from repro.analyzer.webs import Web
 
 
 class WebInterferenceGraph:
-    """Adjacency over live (non-discarded) webs."""
+    """Adjacency over ``webs``, the webs coloring considers: the live
+    ones, taken before coloring rejects any for its priority.
+
+    Coloring itself needs no graph (it keeps a register mask per node,
+    :mod:`repro.analyzer.coloring`); the graph serves the database's
+    web census, a traced run's ``web-uncolored`` winners and tests.
+    """
 
     def __init__(self, webs: list):
-        self.webs = [web for web in webs if web.is_live]
+        self.webs = list(webs)
         self._neighbors = self._build()
 
     def _build(self) -> dict:
@@ -77,14 +83,6 @@ class WebInterferenceGraph:
     def neighbors(self, web: Web) -> set:
         """IDs of webs interfering with ``web``."""
         return set(self._neighbors.get(web.web_id, set()))
-
-    def neighbor_ids(self, web: Web):
-        """The stored neighbor-id set of ``web`` — MUST NOT be mutated.
-
-        Hot loops (coloring) read this instead of :meth:`neighbors` to
-        skip the defensive copy.
-        """
-        return self._neighbors.get(web.web_id, ())
 
     def neighbors_frozen(self, web: Web) -> frozenset:
         """Like :meth:`neighbors`, as a shared immutable set."""

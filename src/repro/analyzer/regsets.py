@@ -271,12 +271,24 @@ def _trace_migration(tracer, names, i, root, moved, kept) -> None:
 
 def _bottom_up(clusters: list, dominators: DominatorTree) -> list:
     """Deepest (in the dominator tree) cluster roots first, so nested
-    clusters are processed before the clusters containing them."""
+    clusters are processed before the clusters containing them.
 
-    def depth(name: str) -> int:
-        return len(dominators.dominators_of(name))
-
-    return sorted(clusters, key=lambda c: (-depth(c.root), c.root))
+    A node's depth is the length of its dominator chain, itself
+    included.  Depths are memoized along each walk up the tree, so a
+    chain shared by many roots is walked once."""
+    depth: dict = {}
+    idom = dominators.immediate_dominator
+    for cluster in clusters:
+        path = []
+        node = cluster.root
+        while node is not None and node not in depth:
+            path.append(node)
+            node = idom(node)
+        below = 0 if node is None else depth[node]
+        for node in reversed(path):
+            below += 1
+            depth[node] = below
+    return sorted(clusters, key=lambda c: (-depth[c.root], c.root))
 
 
 def check_register_set_invariants(

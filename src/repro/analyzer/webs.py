@@ -163,13 +163,30 @@ def identify_variable_webs(
         bit = sets.globals_index.index_of[variable]
         # Webs expand through successors with the variable in L_REF or
         # C_REF.
-        grow = (set(referencing), sets.c_masks, bit)
+        lref = set(referencing)
+        c_masks = sets.c_masks
+        grow = (lref, c_masks, bit)
         webs: list = []  # (web_id, members, entries) triples
         covered: set = set()
         # Candidate entry nodes: the variable in L_REF but not in P_REF.
         p_masks = sets.p_masks
+        succ = packed.succ
         for i in referencing:
             if i in covered or p_masks[i] >> bit & 1:
+                continue
+            for j in succ[i]:
+                if j in lref or c_masks[j] >> bit & 1:
+                    break
+            else:
+                # No successor to grow into: the web is the node alone
+                # and its own entry, because only a self-call could be
+                # an internal predecessor, and that would have been a
+                # successor in L_REF.  Covered nodes are exactly the
+                # members of the webs so far, so it overlaps none.
+                only = frozenset((i,))
+                webs.append((next_id[0], only, only))
+                next_id[0] += 1
+                covered.add(i)
                 continue
             grown = _grow_web(packed, grow, (i,), next_id)
             webs = _merge_overlapping(packed, grow, webs, grown, next_id)
@@ -369,6 +386,8 @@ def _screen_webs(
 ) -> None:
     external = sets.packed.index.index_of.get(EXTERNAL_CALLER)
     l_masks = sets.l_masks
+    bit_of = sets.globals_index.index_of
+    nodes = graph.nodes
     for web in webs:
         members = web.members
         if external in members:
@@ -377,33 +396,35 @@ def _screen_webs(
             # cannot be promoted (no real entry procedure exists there).
             web.discarded_reason = "external-caller"
             continue
-        bit = sets.globals_index.index_of[web.variable]
-        referencing_count = sum(
-            1 for i in members if l_masks[i] >> bit & 1
-        )
-        if not referencing_count:  # pragma: no cover - defensive
-            web.discarded_reason = "sparse"
-            continue
+        variable = web.variable
+        bit = bit_of[variable]
         if len(members) == 1:
             (i,) = members
-            node = graph.nodes[web.names[i]]
-            weighted = (
-                node.summary.global_refs.get(web.variable, 0) * node.weight
-            )
+            if not l_masks[i] >> bit & 1:  # pragma: no cover - defensive
+                web.discarded_reason = "sparse"
+                continue
+            node = nodes[web.names[i]]
+            weighted = node.summary.global_refs.get(variable, 0) * node.weight
             if weighted < options.min_single_node_refs:
                 web.discarded_reason = "single-node-low-frequency"
                 continue
-        elif referencing_count / len(members) < options.min_lref_ratio:
-            web.discarded_reason = "sparse"
-            continue
+        else:
+            referencing_count = sum(
+                1 for i in members if l_masks[i] >> bit & 1
+            )
+            if not referencing_count:  # pragma: no cover - defensive
+                web.discarded_reason = "sparse"
+                continue
+            if referencing_count / len(members) < options.min_lref_ratio:
+                web.discarded_reason = "sparse"
+                continue
         if (
             options.discard_cross_module_static_entries
-            and web.variable in static_modules
+            and variable in static_modules
         ):
-            defining = static_modules[web.variable]
+            defining = static_modules[variable]
             entry_modules = {
-                graph.nodes[web.names[i]].summary.module
-                for i in web.entries
+                nodes[web.names[i]].summary.module for i in web.entries
             }
             if entry_modules - {defining}:
                 web.discarded_reason = "static-cross-module-entry"

@@ -91,7 +91,12 @@ def emit_function(machine: MachineFunction) -> ObjectFunction:
                     flat.append(copy.copy(instruction))
                     i += 2
                     continue
-            flat.append(copy.copy(instruction))
+            # Only branches are rewritten below, so only they are
+            # copied; the rest is shared with the machine function, the
+            # rule the linker follows for the instructions it relocates.
+            if isinstance(instruction, (isa.B, isa.BC)):
+                instruction = copy.copy(instruction)
+            flat.append(instruction)
             i += 1
 
     # Resolve local branch targets to instruction indices.

@@ -12,11 +12,13 @@ the equations, as the differential suite's oracle:
   ``src/`` keeps them in;
 * web growth, merging and recursive-cycle seeding (Figure 2) on sets of
   procedure names, handed on as ``src/``'s node-index webs;
-* web interference (section 4.1.3);
+* web interference (section 4.1.3), and coloring on that graph:
+  each web takes the first register of its pool that no colored
+  neighbor holds, with priorities summed over every member;
 * FREE / CALLER / CALLEE / MSPILL (Figure 6) on sets of procedure
   names, with the historical sort-and-rescan member sweep in place of
-  the Kahn worklist, handed on as ``src/``'s per-node-index
-  ``RegisterSets``.
+  the Kahn worklist and whole dominator chains for the cluster order,
+  handed on as ``src/``'s per-node-index ``RegisterSets``.
 
 :func:`use_set_kernels` patches these in where the pipeline looks each
 kernel up, so a test runs the same ``analyze_program`` or compile on
@@ -24,16 +26,23 @@ both sides and compares bytes.  The web code consumes web ids in the
 same order as the packed kernel; any other order renumbers the webs.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.analysis.liveness import BlockLiveness, LivenessResult
 from repro.analysis.packed import DenseIndex, PackedGraph, iter_bits
+from repro.analyzer.coloring import (
+    ENTRY_CALL_COST,
+    REFERENCE_GAIN,
+    _coloring_event,
+    web_register_pool,
+)
 from repro.analyzer.interference import (
     WebInterferenceGraph as _PackedInterferenceGraph,
 )
-from repro.analyzer.regsets import RegisterSets, _bottom_up
+from repro.analyzer.regsets import RegisterSets
 from repro.analyzer.webs import (
     Web,
     WebOptions,
@@ -68,6 +77,8 @@ def use_set_kernels(monkeypatch) -> None:
     )
     monkeypatch.setattr(webs, "identify_variable_webs", identify_variable_webs)
     monkeypatch.setattr(driver, "WebInterferenceGraph", WebInterferenceGraph)
+    monkeypatch.setattr(driver, "color_webs_priority", color_webs_priority)
+    monkeypatch.setattr(driver, "color_webs_greedy", color_webs_greedy)
     monkeypatch.setattr(driver, "compute_register_sets", compute_register_sets)
 
 
@@ -433,6 +444,75 @@ class WebInterferenceGraph(_PackedInterferenceGraph):
         return neighbors
 
 
+# -- coloring (section 4.1.3) -------------------------------------------
+
+
+def web_priority(web, graph) -> float:
+    """Benefit minus entry cost, each an order-independent ``fsum``
+    over every member, read from the call graph by name."""
+    nodes = graph.nodes
+    benefit = math.fsum(
+        REFERENCE_GAIN * refs * max(nodes[name].weight, 1.0)
+        for name in web.nodes
+        for refs in (nodes[name].summary.global_refs.get(web.variable, 0),)
+        if refs
+    )
+    entry_cost = math.fsum(
+        ENTRY_CALL_COST * max(nodes[name].weight, 1.0)
+        for name in web.entry_nodes
+    )
+    return benefit - entry_cost
+
+
+def color_webs_priority(webs: list, graph, num_registers: int = 6) -> None:
+    pool = web_register_pool(num_registers)
+    _color_on_graph(webs, graph, lambda web: pool)
+
+
+def color_webs_greedy(webs: list, graph) -> None:
+    callee_sorted = sorted(CALLEE_SAVES, reverse=True)
+
+    def allowed_of(web) -> list:
+        max_need = max(
+            (graph.nodes[name].summary.callee_saves_needed
+             for name in web.nodes),
+            default=0,
+        )
+        return callee_sorted[: max(0, len(callee_sorted) - max_need)]
+
+    _color_on_graph(webs, graph, allowed_of)
+
+
+def _color_on_graph(webs: list, graph, allowed_of) -> None:
+    """Priority order; each web takes the first register of
+    ``allowed_of(web)`` that no colored interfering web holds."""
+    tracer = current_tracer()
+    live = [web for web in webs if web.is_live]
+    for web in live:
+        web.priority = web_priority(web, graph)
+    interference = WebInterferenceGraph(live)
+    colored: dict = {}
+    for web in sorted(live, key=lambda w: (-w.priority, w.web_id)):
+        allowed: list = []
+        if web.priority <= 0:
+            web.discarded_reason = "non-positive-priority"
+        else:
+            allowed = allowed_of(web)
+            taken = {
+                colored[n].register
+                for n in interference.neighbors(web)
+                if n in colored
+            }
+            register = next((r for r in allowed if r not in taken), None)
+            if register is not None:
+                web.register = register
+                colored[web.web_id] = web
+        if tracer.enabled:
+            _coloring_event(
+                tracer, web, graph, colored, interference, set(allowed)
+            )
+
+
 # -- register sets (Figure 6) -------------------------------------------
 
 
@@ -480,6 +560,15 @@ def compute_register_sets(
         )
         for name in names
     ]
+
+
+def _bottom_up(clusters: list, dominators) -> list:
+    """Deepest cluster roots first: each root's whole dominator chain
+    gives its depth."""
+    return sorted(
+        clusters,
+        key=lambda c: (-len(dominators.dominators_of(c.root)), c.root),
+    )
 
 
 def _cluster_register_order(child_mspill: set) -> list:

@@ -46,8 +46,7 @@ def test_interference_from_shared_nodes():
 
 def test_table2_coloring_two_registers_suffice():
     graph, webs = figure3_webs()
-    ig = WebInterferenceGraph(webs)
-    color_webs_priority(webs, ig, graph, num_registers=2)
+    color_webs_priority(webs, graph, num_registers=2)
     shapes = by_nodes(webs)
     w_abc = shapes[frozenset("ABC")]
     w_cfg = shapes[frozenset("CFG")]
@@ -63,7 +62,7 @@ def test_table2_coloring_two_registers_suffice():
 def test_one_register_colors_highest_priority_webs_only():
     graph, webs = figure3_webs()
     ig = WebInterferenceGraph(webs)
-    color_webs_priority(webs, ig, graph, num_registers=1)
+    color_webs_priority(webs, graph, num_registers=1)
     colored = [w for w in webs if w.register is not None]
     uncolored = [w for w in webs if w.register is None]
     assert colored and uncolored
@@ -103,8 +102,7 @@ def test_non_positive_priority_webs_not_promoted():
     )
     sets = compute_reference_sets(graph, {"g"})
     webs = identify_webs(graph, sets, {"g"}, LOOSE)
-    ig = WebInterferenceGraph(webs)
-    color_webs_priority(webs, ig, graph, 6)
+    color_webs_priority(webs, graph, 6)
     assert webs[0].register is None
 
 
@@ -119,8 +117,7 @@ def test_greedy_respects_member_register_need():
     )
     sets = compute_reference_sets(graph, {"g"})
     webs = identify_webs(graph, sets, {"g"}, LOOSE)
-    ig = WebInterferenceGraph(webs)
-    color_webs_greedy(webs, ig, graph)
+    color_webs_greedy(webs, graph)
     assert webs[0].register is None
 
 
@@ -137,23 +134,21 @@ def test_greedy_can_color_more_webs_than_fixed_pool():
     sets = compute_reference_sets(graph, eligible)
 
     webs_fixed = identify_webs(graph, sets, eligible, LOOSE)
-    ig = WebInterferenceGraph(webs_fixed)
-    color_webs_priority(webs_fixed, ig, graph, num_registers=6)
+    color_webs_priority(webs_fixed, graph, num_registers=6)
     # ...webs do not interfere (different nodes), so all 8 get a color
     # even from the fixed pool; shrink the pool to force the contrast.
     color_map = [w for w in webs_fixed if w.register is not None]
     assert len(color_map) == 8
 
     webs_greedy = identify_webs(graph, sets, eligible, LOOSE)
-    ig2 = WebInterferenceGraph(webs_greedy)
-    color_webs_greedy(webs_greedy, ig2, graph)
+    color_webs_greedy(webs_greedy, graph)
     assert sum(1 for w in webs_greedy if w.register is not None) == 8
 
 
 def test_interfering_webs_get_distinct_registers_greedy():
     graph, webs = figure3_webs()
     ig = WebInterferenceGraph(webs)
-    color_webs_greedy(webs, ig, graph)
+    color_webs_greedy(webs, graph)
     for i, a in enumerate(webs):
         for b in webs[i + 1:]:
             if a.register is None or b.register is None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.packed import PackedGraph
+from repro.analyzer import regsets
 from repro.analyzer.clusters import identify_clusters
 from repro.analyzer.regsets import (
     RegisterSets,
@@ -372,3 +373,31 @@ def test_worklist_matches_reference_sweep_on_workloads(workload):
     new = compute_register_sets(graph, clusters, dominators)
     old = set_kernels.compute_register_sets(graph, clusters, dominators)
     assert new == old
+
+
+def test_bottom_up_order_on_a_deep_dominator_chain():
+    """A chain of 400 nested clusters whose names grow with their
+    depth, with a side leaf under every link: the memoized depths give
+    the oracle's whole-chain order, deepest (last by name) first, and
+    the register sets match the oracle's."""
+    depth = 400
+    chain = [f"p{k:04d}" for k in range(depth)]
+    procs = {}
+    for k, name in enumerate(chain):
+        calls = {f"leaf{k:04d}": 1}
+        if k + 1 < depth:
+            calls[chain[k + 1]] = 2
+        procs[name] = {"calls": calls, "need": k % 7}
+        procs[f"leaf{k:04d}"] = {"need": (k * 3) % 5}
+    graph, _ = build_graph(procs)
+    dominators = graph.dominator_tree()
+    clusters = identify_clusters(graph, dominators)
+    assert len(clusters) > depth // 2
+    order = [c.root for c in regsets._bottom_up(clusters, dominators)]
+    assert order == [
+        c.root for c in set_kernels._bottom_up(clusters, dominators)
+    ]
+    assert order == sorted(order, reverse=True)
+    assert compute_register_sets(graph, clusters, dominators) == (
+        set_kernels.compute_register_sets(graph, clusters, dominators)
+    )

@@ -5,11 +5,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.callgraph.dataflow import compute_reference_sets
+from repro.analyzer.coloring import web_priority_parts
 from repro.analyzer.webs import (
     WebOptions,
     check_web_invariants,
     identify_webs,
 )
+from tests.analysis.set_kernels import use_set_kernels
 from tests.support import build_graph, figure3_graph
 
 LOOSE = WebOptions(min_lref_ratio=0.0, min_single_node_refs=0.0)
@@ -206,6 +208,101 @@ def test_static_same_module_entry_kept():
         graph, sets, {"m.s"}, LOOSE, static_modules={"m.s": "m"}
     )
     assert webs[0].discarded_reason is None
+
+
+def webs_checked_against_oracle(monkeypatch, graph, eligible):
+    """The webs of ``eligible``, after checking the section 4.1.2
+    invariants and that the set oracle builds the same webs under the
+    same ids."""
+    webs, sets = webs_for(graph, eligible)
+    check_web_invariants(graph, sets, webs)
+    with monkeypatch.context() as patch:
+        use_set_kernels(patch)
+        oracle, _ = webs_for(graph, eligible)
+
+    def shapes(group):
+        return [
+            (w.web_id, w.variable, w.nodes, w.entry_nodes,
+             w.discarded_reason)
+            for w in group
+        ]
+
+    assert shapes(webs) == shapes(oracle)
+    return webs
+
+
+def test_single_node_web_is_its_own_entry(monkeypatch):
+    # "leaf" calls only a procedure with no reference below it: the
+    # web is the node alone, and it shares one set for both roles.
+    graph, _ = build_graph(
+        {
+            "main": {"calls": {"leaf": 3}},
+            "leaf": {"calls": {"quiet": 1}, "refs": {"g": 5}},
+            "quiet": {},
+        },
+        ("g",),
+    )
+    (web,) = webs_checked_against_oracle(monkeypatch, graph, {"g"})
+    assert web.nodes == web.entry_nodes == {"leaf"}
+    assert web.members is web.entries
+
+
+def test_self_recursive_node_grows_a_web_without_entry(monkeypatch):
+    # "spin" calls only itself, so it is its own predecessor: the
+    # variable is in its P_REF, it is seeded as a recursive cycle, and
+    # the one-node web it grows has no entry node at all.
+    graph, _ = build_graph(
+        {
+            "main": {},
+            "spin": {"calls": {"spin": 4}, "refs": {"g": 5}},
+        },
+        ("g",),
+    )
+    (web,) = webs_checked_against_oracle(monkeypatch, graph, {"g"})
+    assert web.nodes == {"spin"}
+    assert web.entry_nodes == frozenset()
+    benefit, entry_cost = web_priority_parts(web, graph)
+    assert benefit > 0
+    assert entry_cost == 0.0
+
+
+def test_referencing_node_grows_through_a_c_ref_successor(monkeypatch):
+    # "top"'s only successor does not reference g but reaches a node
+    # that does: g is in its C_REF, so the web grows through it.
+    graph, _ = build_graph(
+        {
+            "main": {"calls": {"top": 1}},
+            "top": {"calls": {"middle": 2}, "refs": {"g": 5}},
+            "middle": {"calls": {"bottom": 2}},
+            "bottom": {"refs": {"g": 5}},
+        },
+        ("g",),
+    )
+    (web,) = webs_checked_against_oracle(monkeypatch, graph, {"g"})
+    assert web.nodes == {"top", "middle", "bottom"}
+    assert web.entry_nodes == {"top"}
+
+
+def test_single_node_web_absorbed_by_a_later_merge(monkeypatch):
+    # "a_single" is the first candidate and has no referencing
+    # successor, so it becomes a one-node web (id 1).  The web grown
+    # from "b_cand" reaches "d_shared", whose other caller "c_pull" is
+    # pulled in by the correctness closure and calls "a_single": the
+    # two webs overlap and merge under a third id.
+    graph, _ = build_graph(
+        {
+            "main": {"calls": {"b_cand": 1, "c_pull": 1}},
+            "a_single": {"refs": {"g": 5}},
+            "b_cand": {"calls": {"d_shared": 1}, "refs": {"g": 5}},
+            "c_pull": {"calls": {"a_single": 1, "d_shared": 1}},
+            "d_shared": {"refs": {"g": 5}},
+        },
+        ("g",),
+    )
+    (web,) = webs_checked_against_oracle(monkeypatch, graph, {"g"})
+    assert web.web_id == 3
+    assert web.nodes == {"a_single", "b_cand", "c_pull", "d_shared"}
+    assert web.entry_nodes == {"b_cand", "c_pull"}
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ from repro.backend.object import emit_function
 from repro.ir import lower_source
 from repro.opt import optimize_module
 from repro.target import isa
+from tests.linker.json_image import _instruction_fields
 
 
 def emit(source, name="f", opt_level=1):
@@ -65,19 +66,66 @@ def test_loop_emits_backward_branch():
     assert backward
 
 
-def test_emission_copies_do_not_alias_machine_function():
-    module = lower_source("int f(int a) { if (a) return 1; return 2; }",
-                          "m")
+def _machine(source, name="f"):
+    module = lower_source(source, "m")
     optimize_module(module, 1)
-    machine = select_function(module.functions["f"],
-                              default_directives("f"))
+    machine = select_function(module.functions[name],
+                              default_directives(name))
     allocate_function(machine)
     finalize_frame(machine)
+    return machine
+
+
+def test_emission_copies_do_not_alias_machine_function():
+    machine = _machine("int f(int a) { if (a) return 1; return 2; }")
     first = emit_function(machine)
     second = emit_function(machine)
-    # Emitting twice must produce independent instruction objects with
-    # identical shapes (the linker mutates branch targets in its copy).
+    # Emitting twice gives identical shapes.  Branches, whose targets
+    # emission rewrites, are independent objects; every other
+    # instruction is the machine function's own, shared.
     assert len(first.instructions) == len(second.instructions)
+    machine_instructions = {
+        id(instruction)
+        for block in machine.blocks.values()
+        for instruction in block.instructions
+    }
     for a, b in zip(first.instructions, second.instructions):
-        assert a is not b
         assert repr(a) == repr(b)
+        if isinstance(a, (isa.B, isa.BC)):
+            assert a is not b
+            assert id(a) not in machine_instructions
+        else:
+            assert a is b
+            assert id(a) in machine_instructions
+
+
+def test_emission_leaves_machine_instructions_untouched():
+    """Emission resolves branch targets in its own copies: every
+    machine-function instruction keeps every field it had, and a second
+    emission gives the same object function."""
+    machine = _machine(
+        "int g;\n"
+        "int f(int n) { int i; int s; s = 0;"
+        " for (i = 0; i < n; i++) { if (i & 1) s += i; else s -= g; }"
+        " g = s; return s; }"
+    )
+
+    def fields():
+        return [
+            [
+                (type(instruction).__name__,
+                 _instruction_fields(instruction))
+                for instruction in block.instructions
+            ]
+            for block in machine.blocks.values()
+        ]
+
+    before = fields()
+    kinds = {kind for block in before for kind, _fields in block}
+    assert {"B", "BC"} <= kinds
+    first = emit_function(machine)
+    assert fields() == before
+    second = emit_function(machine)
+    assert [repr(i) for i in first.instructions] == [
+        repr(i) for i in second.instructions
+    ]

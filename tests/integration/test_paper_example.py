@@ -8,7 +8,6 @@ variable may receive different registers.
 
 from repro.analyzer.coloring import color_webs_priority
 from repro.analyzer.driver import analyze_program
-from repro.analyzer.interference import WebInterferenceGraph
 from repro.analyzer.options import AnalyzerOptions
 from repro.analyzer.webs import (
     WebOptions,
@@ -38,8 +37,7 @@ def test_full_figure3_pipeline():
     # Table 2: two registers color all four webs, with one register
     # shared between web 1 (g3: ABC) and web 4 (g2: E), the other
     # between web 2 (g2: CFG) and web 3 (g1: BDE).
-    interference = WebInterferenceGraph(webs)
-    color_webs_priority(webs, interference, graph, num_registers=2)
+    color_webs_priority(webs, graph, num_registers=2)
     by_shape = {frozenset(w.nodes): w for w in webs}
     assert by_shape[frozenset("ABC")].register == by_shape[
         frozenset("E")
