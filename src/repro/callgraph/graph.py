@@ -182,7 +182,7 @@ class CallGraph:
         SCC condensation, boosting recursive components.
         """
         # Weight-derived caches must not survive a re-normalization.
-        self._priority_info = None
+        self._node_terms = None
         if profile is not None:
             for node in self.nodes.values():
                 node.weight = float(profile.node_count(node.name))
