@@ -27,7 +27,7 @@ session is driven through an untraced and a traced daemon (best of five
 each), and the traced run's server-reported compile seconds must stay
 within 5% of the untraced run.
 
-Results are recorded in ``benchmarks/BENCH_results.json`` under
+Results are recorded in the repo-root ``BENCH_results.json`` under
 ``"observability_overhead"``.
 """
 

@@ -11,8 +11,9 @@ The matrix is compiled through one shared
 artifact cache, so the seven analyzer configurations share every
 phase-1 artifact and every phase-2 object module whose directives a
 configuration change left untouched.  Alongside the printed tables the
-session writes ``benchmarks/BENCH_results.json`` with the per-workload
-counters and the scheduler's wall-clock/cache statistics.
+session refreshes the sections it measured in the repo-root
+``BENCH_results.json``: the per-workload counters, the scheduler's
+wall-clock/cache statistics and each bench module's own section.
 """
 
 from __future__ import annotations
@@ -274,51 +275,19 @@ def write_bench_report(json_path) -> dict:
     return payload
 
 
-def _append_bench_history(json_path):
-    """Fold the session into BENCH_history.jsonl (sentinel input).
-
-    Loaded by path: ``benchmarks/`` is not a package, and the bench
-    modules are imported by pytest under their own names.
-    """
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "repro_bench_history",
-        os.path.join(os.path.dirname(__file__), "bench_history.py"),
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.append_session(results_path=json_path)
-    return os.path.join(
-        os.path.dirname(__file__), "BENCH_history.jsonl"
-    )
-
-
 def pytest_sessionfinish(session, exitstatus):
     written = []
     if (_BENCH_WORKLOADS or _SCHEDULER_METRICS or _OBSERVABILITY
             or _SIM_THROUGHPUT or _ALLOCATOR_TOURNAMENT or _SCALABILITY
             or _SERVICE_LOAD):
+        # The tracked repo-root report: each benchmark run leaves a
+        # committable diff of the sections it measured.
         json_path = os.path.join(
-            os.path.dirname(__file__), "BENCH_results.json"
-        )
-        write_bench_report(json_path)
-        written.append(json_path)
-        # Refresh the tracked repo-root snapshot too, so each PR's CI
-        # benchmark run leaves a committable perf-trajectory diff.
-        snapshot = os.path.join(
             os.path.dirname(os.path.dirname(__file__)),
             "BENCH_results.json",
         )
-        write_bench_report(snapshot)
-        written.append(snapshot)
-        # One history point per session (keyed by SHA, so partial CI
-        # runs converge): the perf-regression sentinel's time series.
-        try:
-            written.append(_append_bench_history(json_path))
-        except Exception as err:  # noqa: BLE001 — history is advisory;
-            # a bench session must not fail for want of its bookkeeping.
-            _RESULT_LINES.append(f"(bench history not recorded: {err})")
+        write_bench_report(json_path)
+        written.append(json_path)
     if not _RESULT_LINES:
         return
     path = os.path.join(os.path.dirname(__file__), "latest_results.txt")

@@ -21,17 +21,15 @@ Three strategies ship in-tree (see ``docs/ALLOCATORS.md``):
   (:mod:`repro.backend.allocators.spilleverywhere`).
 
 Selection: pass a name to :func:`get_allocator` / the driver entry
-points, or set the ``REPRO_ALLOCATOR`` environment variable; ``None``
-falls back to the environment and then the default.
+points; ``None`` selects the default.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 
-#: Allocation strategies selectable via ``REPRO_ALLOCATOR`` or the
-#: ``allocator=`` arguments threaded through the driver.
+#: Allocation strategies selectable via the ``allocator=`` arguments
+#: threaded through the driver.
 ALLOCATORS = ("paper", "linearscan", "spill-everywhere")
 DEFAULT_ALLOCATOR = "paper"
 
@@ -75,9 +73,9 @@ def register_allocator(strategy: AllocatorStrategy) -> AllocatorStrategy:
 
 
 def resolve_allocator(name: str | None = None) -> str:
-    """Validate an explicit strategy name or fall back to the
-    ``REPRO_ALLOCATOR`` environment variable and then the default."""
-    name = name or os.environ.get("REPRO_ALLOCATOR") or DEFAULT_ALLOCATOR
+    """Validate a strategy name (any case); ``None`` selects the
+    default."""
+    name = name or DEFAULT_ALLOCATOR
     name = name.strip().lower()
     if name not in ALLOCATORS:
         raise ValueError(

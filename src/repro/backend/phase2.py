@@ -54,8 +54,8 @@ def compile_module_phase2(
     """Translate one IR module to an object module.
 
     ``allocator`` names a registered allocation strategy (``paper``,
-    ``linearscan``, ``spill-everywhere``); ``None`` defers to the
-    ``REPRO_ALLOCATOR`` environment variable and then the default.
+    ``linearscan``, ``spill-everywhere``); ``None`` selects the
+    default, ``paper``.
     """
     strategy = get_allocator(allocator)
     machine_functions = []

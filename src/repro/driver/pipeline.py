@@ -45,9 +45,8 @@ def default_scheduler():
     Uncached unless the ``REPRO_CACHE_DIR`` environment variable names a
     cache directory at first use; ``REPRO_VERIFY=1`` additionally runs the
     post-link allocation auditor (:mod:`repro.verify.auditor`) on every
-    linked executable, ``REPRO_CACHE_MAX_BYTES`` caps the artifact
-    cache's on-disk size, and ``REPRO_ALLOCATOR`` picks the phase-2
-    allocation strategy (read at each compilation).
+    linked executable, and ``REPRO_CACHE_MAX_BYTES`` caps the artifact
+    cache's on-disk size.
     """
     global _default_scheduler
     if _default_scheduler is None:
@@ -102,8 +101,7 @@ def compile_with_database(
 
     ``allocator`` names the phase-2 allocation strategy
     (:mod:`repro.backend.allocators`); ``None`` defers to the
-    scheduler's default and the ``REPRO_ALLOCATOR`` environment
-    variable.
+    scheduler's default.
     """
     scheduler = scheduler or default_scheduler()
     return scheduler.compile_with_database(
@@ -132,7 +130,7 @@ def compile_program(
         allocator: Phase-2 allocation strategy
             (:mod:`repro.backend.allocators`: ``paper``, ``linearscan``,
             ``spill-everywhere``); ``None`` defers to the scheduler's
-            default and the ``REPRO_ALLOCATOR`` environment variable.
+            default.
     """
     scheduler = scheduler or default_scheduler()
     return scheduler.compile_program(

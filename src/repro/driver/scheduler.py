@@ -164,8 +164,7 @@ class CompilationScheduler:
             :class:`~repro.obs.tracer.SpanClock`.
         allocator: Default register-allocation strategy for phase 2
             (:mod:`repro.backend.allocators`: ``paper``, ``linearscan``,
-            ``spill-everywhere``).  ``None`` (the default) defers to the
-            ``REPRO_ALLOCATOR`` environment variable and then the
+            ``spill-everywhere``).  ``None`` (the default) selects the
             ``paper`` strategy; individual ``compile_*`` calls may
             override per compilation.  The strategy is part of each
             phase-2 cache key, so strategies never share object modules.

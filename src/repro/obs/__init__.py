@@ -17,11 +17,9 @@ This package is what lets a human (or a later tool) *explain* them:
 * :mod:`repro.obs.flame` — span-stream profiling: collapsed-stack
   flamegraph folding, self-time tables, per-request latency
   breakdowns over daemon trace streams;
-* :mod:`repro.obs.sentinel` — the perf-regression sentinel judging
-  each bench session against the tracked benchmark history;
 * :mod:`repro.obs.report` — the ``repro-explain`` CLI rendering
   paper-style allocation reports, answering ``why`` / ``why-not``
-  queries, and fronting the ``flame`` / ``slow`` / ``bench`` views.
+  queries, and fronting the ``flame`` / ``slow`` views.
 
 See ``docs/OBSERVABILITY.md`` for the event schema and usage.
 """

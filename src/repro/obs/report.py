@@ -16,14 +16,11 @@ and renders what the allocator *decided* and what it *cost*:
 Everything is rendered from the trace record stream alone, so
 ``--from-trace`` and a fresh compile share one code path.
 
-Three profiling/sentinel commands ride on the same trace plumbing:
-``flame`` folds a span stream (a compile trace or a daemon's
+Two profiling commands ride on the same trace plumbing: ``flame``
+folds a span stream (a compile trace or a daemon's
 ``REPRO_SERVICE_TRACE`` stream) into collapsed stacks plus a self-time
-table, ``slow`` ranks a daemon trace's requests by latency with
-queue-wait and per-phase breakdowns, and ``bench`` renders the
-benchmark history — ``bench --check`` is the perf-regression sentinel
-(:mod:`repro.obs.sentinel`), exiting non-zero when the newest history
-point regressed past the threshold.
+table, and ``slow`` ranks a daemon trace's requests by latency with
+queue-wait and per-phase breakdowns.
 
 Usage::
 
@@ -35,7 +32,6 @@ Usage::
     repro-explain report --from-trace trace.jsonl
     repro-explain flame --from-trace service.jsonl --out out.folded
     repro-explain slow --from-trace service.jsonl --top 5
-    repro-explain bench --check
 """
 
 from __future__ import annotations
@@ -55,8 +51,7 @@ from repro.obs.provenance import (
 from repro.obs.tracer import Tracer, activate, canonicalize_trace, read_trace
 
 COMMANDS = (
-    "report", "why", "why-not", "proc", "metrics",
-    "flame", "slow", "bench",
+    "report", "why", "why-not", "proc", "metrics", "flame", "slow",
 )
 
 
@@ -527,65 +522,6 @@ def render_slow(records, top: int = 10) -> str:
     return _table(headers, body) + "\n"
 
 
-def _default_history_path() -> str:
-    env = os.environ.get("REPRO_BENCH_HISTORY", "").strip()
-    if env:
-        return env
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "benchmarks", "BENCH_history.jsonl")
-
-
-def run_bench_command(args) -> int:
-    """``repro-explain bench``: history view / ``--check`` sentinel."""
-    from repro.obs import sentinel
-
-    history_path = args.history or _default_history_path()
-    entries = sentinel.read_history(history_path)
-    if args.check:
-        regressions = sentinel.check_regressions(
-            entries, threshold=args.threshold, window=args.window
-        )
-        if args.json:
-            print(json.dumps(
-                {
-                    "history": history_path,
-                    "points": len(entries),
-                    "regressions": regressions,
-                },
-                indent=2,
-            ))
-        else:
-            print(
-                sentinel.format_check(
-                    entries, regressions, threshold=args.threshold
-                ),
-                end="",
-            )
-        return 1 if regressions else 0
-    if args.json:
-        print(json.dumps(entries, indent=2))
-        return 0
-    if not entries:
-        print(f"no bench history at {history_path}")
-        return 0
-    print(f"bench history: {history_path} ({len(entries)} point(s))")
-    print(
-        _table(
-            ["sha", "timestamp", "metrics"],
-            [
-                [
-                    str(entry.get("sha", "?"))[:12],
-                    entry.get("timestamp", "?"),
-                    len(entry.get("metrics", {})),
-                ]
-                for entry in entries
-            ],
-        )
-    )
-    return 0
-
-
 # -- CLI -------------------------------------------------------------------
 
 
@@ -656,32 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10,
         help="slow: how many requests to list (default: 10)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="bench: run the perf-regression sentinel (non-zero exit"
-        " on regression)",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="PATH",
-        help="bench: history JSONL (default:"
-        " benchmarks/BENCH_history.jsonl, or REPRO_BENCH_HISTORY)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="bench --check: fractional regression threshold"
-        " (default: 0.25, or REPRO_SENTINEL_THRESHOLD)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="bench --check: trailing baseline window (default: 5,"
-        " or REPRO_SENTINEL_WINDOW)",
-    )
     return parser
 
 
@@ -706,9 +616,6 @@ def main(argv=None) -> int:
             "slow ranks daemon requests and needs --from-trace"
             " pointing at a REPRO_SERVICE_TRACE stream"
         )
-    if args.command == "bench":
-        return run_bench_command(args)
-
     snapshot = stats = database = None
     if args.from_trace:
         records = read_trace(args.from_trace)

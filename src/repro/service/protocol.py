@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import os
 
+from repro.backend.allocators.base import resolve_allocator
+
 #: Bump on any incompatible change to the frame layout or operation
 #: semantics; requests carrying another version are refused with a
 #: structured ``version-mismatch`` error naming both versions.
@@ -228,6 +230,12 @@ def validate_request(payload: dict):
                 f"{'/'.join(sorted(CONFIG_LETTERS))} or null, "
                 f"got {config!r}",
                 request_id=request_id,
+            )
+        try:
+            resolve_allocator(params.get("allocator"))
+        except ValueError as err:
+            raise ProtocolError(
+                "bad-field", f"'allocator': {err}", request_id=request_id
             )
         opt_level = params.get("opt_level")
         if opt_level is not None and opt_level not in (0, 1, 2):

@@ -5,7 +5,9 @@ must have a row in the table, and every row whose consumer lives in
 ``src/`` must name a variable that ``src/`` still reads.  A consumer
 lives in ``src/`` when it names a module or package there
 (``scheduler`` is ``repro/driver/scheduler.py``, ``service`` is
-``repro/service/``); the other rows are read by tests and benchmarks.
+``repro/service/``).  Every other row must name a variable that
+``tests/`` or ``benchmarks/`` reads through ``os.environ``, and each
+such read must have a row, so a row whose reader is gone fails here.
 """
 
 import pathlib
@@ -20,10 +22,11 @@ _READ_RE = re.compile(
 _ROW_RE = re.compile(r"^\| `(REPRO_\w+)` \|[^|]*\| ([^|]+?) \|", re.M)
 
 
-def _src_reads() -> set:
+def _reads(*roots) -> set:
     return {
         name
-        for path in SRC.rglob("*.py")
+        for root in roots
+        for path in root.rglob("*.py")
         for name in _READ_RE.findall(path.read_text(encoding="utf-8"))
     }
 
@@ -49,4 +52,15 @@ def test_src_knobs_match_the_table():
         name for name, consumer in rows.items() if _in_src(consumer)
     }
     assert documented, "no knob rows parsed from docs/SERVICE.md"
-    assert _src_reads() == documented
+    assert _reads(SRC) == documented
+
+
+def test_test_and_bench_knobs_match_the_table():
+    rows = _table_rows()
+    reads = _reads(REPO_ROOT / "tests", REPO_ROOT / "benchmarks")
+    assert reads, "no REPRO_* reads found in tests/ or benchmarks/"
+    assert reads - set(rows) == set(), "reads without a knob row"
+    others = {
+        name for name, consumer in rows.items() if not _in_src(consumer)
+    }
+    assert others - reads == set(), "knob rows that nothing reads"

@@ -125,6 +125,17 @@ class TestValidation:
             frame(type="open_session", config="Z"), "bad-field"
         )
 
+    def test_bad_allocator(self):
+        expect_error(
+            frame(type="open_session", allocator="bogus"), "bad-field"
+        )
+
+    def test_allocator_name_any_case(self):
+        _id, _op, params = validate_request(
+            frame(type="open_session", allocator="Paper")
+        )
+        assert params["allocator"] == "Paper"
+
     def test_bad_opt_level(self):
         expect_error(
             frame(type="open_session", opt_level=9), "bad-field"

@@ -91,6 +91,20 @@ class TestSessionErrors:
             client.compile("nope")
         assert excinfo.value.code == "unknown-session"
 
+    def test_unknown_allocator_opens_no_session(self, service, client):
+        daemon = service.service
+        opened, live = daemon.sessions_opened, len(daemon.sessions)
+        with pytest.raises(ServiceError) as excinfo:
+            client.open_session(
+                {"m": "int main() { print(1); return 0; }"},
+                allocator="bogus",
+            )
+        assert excinfo.value.code == "bad-field"
+        assert "bogus" in excinfo.value.message
+        assert (daemon.sessions_opened, len(daemon.sessions)) == (
+            opened, live
+        )
+
     def test_compile_error_is_structured(self, client):
         session = client.open_session(
             {"m": "int main( { this is not tiny-c"}
