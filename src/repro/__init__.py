@@ -58,7 +58,7 @@ from repro.obs import (
     Tracer,
     explain_global,
     explain_procedure,
-    unified_registry,
+    fold_trace,
 )
 
 __version__ = "1.0.0"
@@ -88,8 +88,8 @@ __all__ = [
     "compile_with_database",
     "explain_global",
     "explain_procedure",
+    "fold_trace",
     "run_executable",
     "run_phase1",
-    "unified_registry",
     "__version__",
 ]

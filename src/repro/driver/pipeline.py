@@ -66,9 +66,9 @@ class CompilationResult:
 
     ``metrics`` (a :class:`~repro.driver.scheduler.MetricsSnapshot`)
     reports this compilation's per-stage wall-clock seconds, task
-    counts, cache hit/miss/corruption/eviction counters, and — when the
-    scheduler's post-link auditor is enabled (``REPRO_VERIFY=1``) — the
-    allocation-audit summary (functions/calls checked, violations).
+    counts and cache hit/miss/corruption/eviction counters.  When the
+    scheduler's post-link auditor is enabled (``REPRO_VERIFY=1``), its
+    report is on the scheduler's ``last_audit_report``.
     """
 
     executable: Executable

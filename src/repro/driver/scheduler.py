@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -41,10 +40,8 @@ from repro.frontend.phase1 import (
     phase1_fingerprint,
 )
 from repro.linker.link import Executable, link
-from repro.obs.tracer import SpanClock, Tracer, activate
+from repro.obs.tracer import STAGES, SpanClock, Tracer, activate
 from repro.verify.auditor import AuditError, audit_executable
-
-STAGES = ("phase1", "analyze", "phase2", "link", "verify")
 
 
 def _phase2_task(ir_blob, database, opt_level, allocator):
@@ -70,24 +67,10 @@ class MetricsSnapshot:
     cache_misses: dict = field(default_factory=dict)
     cache_bad_entries: dict = field(default_factory=dict)
     cache_evictions: dict = field(default_factory=dict)
-    #: Most recent allocation-audit summary (REPRO_VERIFY runs only);
-    #: not a counter — ``minus`` carries the newer snapshot's value.
-    audit: dict = field(default_factory=dict)
 
     def minus(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The activity between ``earlier`` and this snapshot.
-
-        Two explicit rules:
-
-        * **counter fields** (``stage_seconds``, ``stage_tasks`` and
-          the ``cache_*`` families) hold flat numeric values and are
-          differenced key-by-key, dropping zero deltas;
-        * **``audit``** is a point-in-time snapshot with nested
-          non-numeric values (``violations_by_check`` dicts, violation
-          strings) — differencing it is meaningless, so the newer
-          snapshot's value is *carried*, deep-copied so the result
-          never shares mutable structure with either operand.
-        """
+        """The activity between ``earlier`` and this snapshot: every
+        field is differenced key by key, dropping zero deltas."""
 
         def diff(now: dict, then: dict) -> dict:
             return {
@@ -107,7 +90,6 @@ class MetricsSnapshot:
             cache_evictions=diff(
                 self.cache_evictions, earlier.cache_evictions
             ),
-            audit=deepcopy(self.audit),
         )
 
     def to_json_dict(self) -> dict:
@@ -118,7 +100,6 @@ class MetricsSnapshot:
             "cache_misses": dict(self.cache_misses),
             "cache_bad_entries": dict(self.cache_bad_entries),
             "cache_evictions": dict(self.cache_evictions),
-            "audit": deepcopy(self.audit),
         }
 
 
@@ -220,7 +201,6 @@ class CompilationScheduler:
             verify = os.environ.get("REPRO_VERIFY", "") not in ("", "0")
         self.verify = verify
         self.last_audit_report = None
-        self._last_audit_summary: dict = {}
         self._stage_tasks: dict = {}
 
     # -- lifecycle --------------------------------------------------------
@@ -263,7 +243,6 @@ class CompilationScheduler:
             cache_misses=cache_stats["misses"],
             cache_bad_entries=cache_stats["bad_entries"],
             cache_evictions=cache_stats["evictions"],
-            audit=dict(self._last_audit_summary),
         )
 
     def reset_metrics(self) -> None:
@@ -402,8 +381,8 @@ class CompilationScheduler:
     ):
         """Run the post-link allocation auditor; raise on violations.
 
-        The report is kept on :attr:`last_audit_report` and its summary
-        rides along on the next metrics snapshot either way.
+        The report is kept on :attr:`last_audit_report` either way, and
+        a recording tracer gets its summary as an ``audit`` event.
         """
         with self.tracer.span("verify"):
             # Counted before the audit runs: a raising auditor must
@@ -413,7 +392,6 @@ class CompilationScheduler:
             self._count_tasks("verify", 1)
             report = audit_executable(executable, database)
         self.last_audit_report = report
-        self._last_audit_summary = report.summary()
         if self.tracer.enabled:
             self.tracer.event("audit", **report.summary())
         if not report.ok:

@@ -11,9 +11,9 @@ This package is what lets a human (or a later tool) *explain* them:
   every promotion, rejection, and spill-motion decision, queryable via
   :func:`~repro.obs.provenance.explain_global` /
   :func:`~repro.obs.provenance.explain_procedure`;
-* :mod:`repro.obs.metrics` — a unified counter/gauge/histogram registry
-  folding scheduler, audit, and simulator counters into one
-  exportable view;
+* :mod:`repro.obs.metrics` — a counter/gauge/histogram registry and
+  :func:`~repro.obs.metrics.fold_trace`, which folds a compile's
+  stage spans, audit summary, and execution counters into it;
 * :mod:`repro.obs.flame` — span-stream profiling: collapsed-stack
   flamegraph folding, self-time tables, per-request latency
   breakdowns over daemon trace streams;
@@ -21,7 +21,9 @@ This package is what lets a human (or a later tool) *explain* them:
   paper-style allocation reports, answering ``why`` / ``why-not``
   queries, and fronting the ``flame`` / ``slow`` views.
 
-See ``docs/OBSERVABILITY.md`` for the event schema and usage.
+Every query, report and metric here reads a trace: a
+:class:`~repro.obs.tracer.Tracer`, its record list, or a saved JSONL
+file.  See ``docs/OBSERVABILITY.md`` for the event schema and usage.
 """
 
 from repro.obs.flame import (
@@ -32,7 +34,7 @@ from repro.obs.flame import (
     slowest_requests,
     span_tree,
 )
-from repro.obs.metrics import MetricsRegistry, unified_registry
+from repro.obs.metrics import MetricsRegistry, fold_trace
 from repro.obs.report import compile_workload, render_report, report_data
 from repro.obs.provenance import (
     explain_global,
@@ -62,6 +64,7 @@ __all__ = [
     "explain_global",
     "explain_procedure",
     "fold_spans",
+    "fold_trace",
     "format_explanation",
     "read_trace",
     "render_collapsed",
@@ -72,5 +75,4 @@ __all__ = [
     "slowest_requests",
     "span_tree",
     "trace_groups",
-    "unified_registry",
 ]

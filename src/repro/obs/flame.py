@@ -26,10 +26,7 @@ Everything here consumes plain record dicts, so an in-memory
 
 from __future__ import annotations
 
-from repro.obs.tracer import trace_groups
-
-#: Scheduler stage spans recognized by the per-request breakdown.
-PHASE_SPANS = ("phase1", "analyze", "phase2", "link", "verify")
+from repro.obs.tracer import STAGES, trace_groups
 
 
 def span_tree(records) -> list:
@@ -193,7 +190,7 @@ def request_summaries(records) -> list:
                         row["queue_wait"] += child["seconds"]
                     elif name == "lock-wait":
                         row["lock_wait"] += child["seconds"]
-                    elif name in PHASE_SPANS:
+                    elif name in STAGES:
                         row["phases"][name] = (
                             row["phases"].get(name, 0.0)
                             + child["seconds"]

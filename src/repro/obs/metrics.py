@@ -1,16 +1,16 @@
-"""Unified metrics registry.
+"""Metrics registry and the fold that fills it from a trace.
 
 One registry with three metric types — monotonically increasing
 **counters**, point-in-time **gauges**, and bucketed **histograms** —
-plus text and JSON exporters, and *fold* functions that pour every
-existing instrumentation surface into it:
+plus text and JSON exporters.  :func:`fold_trace` builds one from a
+compile's trace records alone:
 
-* :class:`~repro.driver.scheduler.MetricsSnapshot` (stage span
-  seconds, task counts, cache counters, the last audit summary);
-* post-link audit summaries;
-* :class:`~repro.machine.simulator.ExecutionStats`, including the new
-  per-procedure counters, attributed per cluster root against a
-  :class:`~repro.analyzer.database.ProgramDatabase`.
+* stage span seconds and task counts (the ``module`` spans of phases 1
+  and 2, and the ``analyze`` and ``verify`` spans);
+* the last post-link ``audit`` summary, through :func:`fold_audit`;
+* the last ``execution`` event's run, per-procedure and per-cluster
+  counters, each procedure attributed to a cluster root by
+  :func:`~repro.obs.provenance.cluster_owners`.
 
 Metrics are identified by name plus a sorted label set, prometheus
 style; the text exporter renders the conventional exposition format so
@@ -22,6 +22,9 @@ exactly with the span seconds of a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.obs.provenance import cluster_owners, events_of
+from repro.obs.tracer import STAGES
 
 #: Default histogram bucket upper bounds; wide because observed values
 #: range from fractions of a second to hundreds of millions of cycles.
@@ -197,28 +200,6 @@ class MetricsRegistry:
 # -- fold functions --------------------------------------------------------
 
 
-def fold_metrics_snapshot(registry: MetricsRegistry, snapshot) -> None:
-    """Fold a scheduler :class:`MetricsSnapshot` into ``registry``."""
-    for stage, seconds in snapshot.stage_seconds.items():
-        registry.inc("repro_stage_seconds_total", seconds, stage=stage)
-    for stage, count in snapshot.stage_tasks.items():
-        registry.inc("repro_stage_tasks_total", count, stage=stage)
-    cache_families = (
-        ("hits", snapshot.cache_hits),
-        ("misses", snapshot.cache_misses),
-        ("bad_entries", snapshot.cache_bad_entries),
-        ("evictions", snapshot.cache_evictions),
-    )
-    for outcome, counters in cache_families:
-        for stage, count in counters.items():
-            registry.inc(
-                "repro_cache_events_total", count,
-                stage=stage, outcome=outcome,
-            )
-    if snapshot.audit:
-        fold_audit(registry, snapshot.audit)
-
-
 def fold_audit(registry: MetricsRegistry, summary: dict) -> None:
     """Fold a post-link audit summary (``AuditReport.summary()``)."""
     registry.set_gauge(
@@ -237,77 +218,58 @@ def fold_audit(registry: MetricsRegistry, summary: dict) -> None:
         )
 
 
-def cluster_owner_map(database) -> dict:
-    """procedure name -> the cluster root its counters attribute to.
-
-    Non-root members attribute to their cluster's root; roots attribute
-    to themselves (each root executes its own migrated spill code, so
-    its traffic is its own), even when nested inside a parent cluster.
-    """
-    owner: dict = {}
-    for cluster in database.clusters:
-        for member in cluster.members:
-            owner[member] = cluster.root
-    for cluster in database.clusters:
-        owner[cluster.root] = cluster.root
-    return owner
-
-
-def fold_execution(registry: MetricsRegistry, stats,
-                   database=None) -> None:
-    """Fold one run's :class:`ExecutionStats`; with a ``database``,
-    per-procedure counters are additionally attributed per cluster
-    root."""
-    registry.set_gauge("repro_run_cycles", stats.cycles)
-    registry.set_gauge("repro_run_instructions", stats.instructions)
-    registry.set_gauge(
-        "repro_run_memory_references", stats.memory_references
-    )
-    registry.set_gauge(
-        "repro_run_singleton_references", stats.singleton_references
-    )
-    registry.set_gauge(
-        "repro_run_save_restore_executed", stats.save_restore_executed
-    )
-    for name, entry in sorted(stats.per_procedure.items()):
+def fold_trace(records) -> MetricsRegistry:
+    """One compile's metrics, folded from its trace records."""
+    registry = MetricsRegistry()
+    for record in records:
+        kind, name = record.get("ev"), record.get("name")
+        if kind == "span-end" and name in STAGES:
+            registry.inc(
+                "repro_stage_seconds_total", record["seconds"], stage=name
+            )
+        elif kind == "span-begin" and name == "module":
+            registry.inc(
+                "repro_stage_tasks_total", stage=record["data"]["stage"]
+            )
+        elif kind == "span-begin" and name in ("analyze", "verify"):
+            registry.inc("repro_stage_tasks_total", stage=name)
+    audits = events_of(records, "audit")
+    if audits:
+        fold_audit(registry, audits[-1])
+    executions = events_of(records, "execution")
+    if not executions:
+        return registry
+    execution = executions[-1]
+    for field_name in (
+        "cycles", "instructions", "memory_references",
+        "singleton_references", "save_restore_executed",
+    ):
+        registry.set_gauge(f"repro_run_{field_name}", execution[field_name])
+    owners = cluster_owners(records)
+    for name, entry in sorted(execution["per_procedure"].items()):
+        root = owners.get(name, "<none>")
         registry.inc(
-            "repro_procedure_cycles_total", entry.cycles, procedure=name
+            "repro_procedure_cycles_total", entry["cycles"], procedure=name
         )
         registry.inc(
             "repro_procedure_memrefs_total",
-            entry.loads + entry.stores,
+            entry["loads"] + entry["stores"],
             procedure=name,
         )
         registry.inc(
             "repro_procedure_save_restore_total",
-            entry.save_restore,
+            entry["save_restore"],
             procedure=name,
         )
         registry.observe(
-            "repro_procedure_cycles_histogram", entry.cycles
+            "repro_procedure_cycles_histogram", entry["cycles"]
         )
-    if database is not None and stats.per_procedure:
-        owner = cluster_owner_map(database)
-        for name, entry in sorted(stats.per_procedure.items()):
-            root = owner.get(name, "<none>")
-            registry.inc(
-                "repro_cluster_cycles_total", entry.cycles, root=root
-            )
-            registry.inc(
-                "repro_cluster_save_restore_total",
-                entry.save_restore,
-                root=root,
-            )
-
-
-def unified_registry(snapshot=None, stats=None, database=None,
-                     audit=None) -> MetricsRegistry:
-    """Build one registry from whichever surfaces the caller has."""
-    registry = MetricsRegistry()
-    if snapshot is not None:
-        fold_metrics_snapshot(registry, snapshot)
-    if audit is not None:
-        fold_audit(registry, audit)
-    if stats is not None:
-        fold_execution(registry, stats, database)
+        registry.inc(
+            "repro_cluster_cycles_total", entry["cycles"], root=root
+        )
+        registry.inc(
+            "repro_cluster_save_restore_total",
+            entry["save_restore"],
+            root=root,
+        )
     return registry

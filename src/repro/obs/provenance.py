@@ -6,8 +6,7 @@ Every directive the analyzer writes into the
 *rejection* along the way — is narrated into the ambient trace as a
 typed event carrying the benefit/cost numbers that drove it.  This
 module defines the reason-code vocabulary, and the query API that turns
-a trace (or, with reduced detail, a bare database) back into an
-explanation:
+a trace back into an explanation:
 
 * :func:`explain_global` — why was this global promoted, and into which
   register — or why not: ineligible (and how), its webs screened out
@@ -15,7 +14,10 @@ explanation:
   winning neighbor webs;
 * :func:`explain_procedure` — a procedure's directives, cluster
   membership, spill-motion history, and (when the trace includes an
-  ``execution`` event) its attributed runtime counters.
+  ``execution`` event) its attributed runtime counters;
+* :func:`cluster_owners` — the one rule attributing a procedure's
+  runtime counters to a cluster root, shared by the report and the
+  metrics fold.
 
 Reason codes map to paper sections as documented in
 ``docs/OBSERVABILITY.md``.
@@ -76,15 +78,18 @@ EVENT_TYPES = (
 )
 
 
-def _records_from(source):
-    """Normalize ``source`` to a record list, or None for a database."""
+def _records_from(source) -> list:
+    """Normalize a trace ``source`` to its record list."""
     if isinstance(source, Tracer):
         return source.records
     if isinstance(source, (list, tuple)):
         return list(source)
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         return read_trace(source)
-    return None  # assume ProgramDatabase
+    raise TypeError(
+        "expected a Tracer, a record list or a trace path, got "
+        f"{type(source).__name__}"
+    )
 
 
 def events_of(records, type_) -> list:
@@ -94,6 +99,25 @@ def events_of(records, type_) -> list:
         for record in records
         if record.get("ev") == "event" and record.get("type") == type_
     ]
+
+
+def cluster_owners(records) -> dict:
+    """procedure name -> the cluster root its counters attribute to.
+
+    Every ``cluster-formed`` member maps to its cluster's root, and
+    every root maps to itself, even when nested inside a parent
+    cluster: a root executes the saves migrated up to it (section
+    4.2.3), so its traffic is its own.  Procedures in no cluster are
+    absent.
+    """
+    clusters = events_of(records, "cluster-formed")
+    owner: dict = {}
+    for payload in clusters:
+        for member in payload["members"]:
+            owner[member] = payload["root"]
+    for payload in clusters:
+        owner[payload["root"]] = payload["root"]
+    return owner
 
 
 # -- explain_global --------------------------------------------------------
@@ -155,121 +179,26 @@ def _explain_global_from_trace(records, name) -> dict:
     }
 
 
-def _explain_global_from_db(database, name) -> dict:
-    """Database-only reconstruction (no benefit/cost numbers, but the
-    winners of a lost coloring are recoverable from the web census)."""
-    by_id = {record.web_id: record for record in database.webs}
-    webs = []
-    registers = []
-    for record in database.webs:
-        if record.variable != name:
-            continue
-        if record.colored:
-            status, reason = "colored", None
-            registers.append(record.register)
-        elif record.discarded_reason == REASON_NON_POSITIVE_PRIORITY:
-            status, reason = "rejected", record.discarded_reason
-        elif record.discarded_reason is not None:
-            status, reason = "screened", record.discarded_reason
-        else:
-            status, reason = "uncolored", REASON_LOST_COLORING
-        winners = []
-        if status == "uncolored":
-            for other_id in sorted(record.interferes_with):
-                other = by_id.get(other_id)
-                if other is not None and other.colored:
-                    winners.append(
-                        {
-                            "web_id": other.web_id,
-                            "variable": other.variable,
-                            "register": other.register,
-                        }
-                    )
-        webs.append(
-            {
-                "web_id": record.web_id,
-                "status": status,
-                "nodes": sorted(record.nodes),
-                "priority": record.priority,
-                "benefit": None,
-                "entry_cost": None,
-                "register": record.register,
-                "reason": reason,
-                "winners": winners,
-            }
-        )
-    promoted_procs = sorted(
-        proc_name
-        for proc_name, directives in database.procedures.items()
-        if any(entry.name == name for entry in directives.promoted)
-    )
-    if promoted_procs or registers:
-        status = "promoted"
-        reasons = []
-    elif webs:
-        status = "rejected"
-        reasons = sorted(
-            {entry["reason"] for entry in webs if entry["reason"]}
-        ) or [REASON_LOST_COLORING]
-    else:
-        status = "unknown"
-        reasons = ["not-in-database"]
-    return {
-        "name": name,
-        "status": status,
-        "reasons": reasons,
-        "registers": sorted(set(registers)),
-        "webs": webs,
-        "procedures": promoted_procs,
-    }
-
-
 def explain_global(source, name: str) -> dict:
     """Explain the promotion decision for global ``name``.
 
-    ``source`` may be a trace (a :class:`~repro.obs.tracer.Tracer`, a
-    record list, or a JSONL path) or a
-    :class:`~repro.analyzer.database.ProgramDatabase`.  A trace carries
-    the full benefit/cost numbers; a bare database reconstructs status,
-    screening reasons, and coloring winners from the web census.
+    ``source`` is a trace: a :class:`~repro.obs.tracer.Tracer`, a
+    record list, or a JSONL path; anything else raises
+    :class:`TypeError`.
     """
-    records = _records_from(source)
-    if records is None:
-        return _explain_global_from_db(source, name)
-    return _explain_global_from_trace(records, name)
+    return _explain_global_from_trace(_records_from(source), name)
 
 
 # -- explain_procedure -----------------------------------------------------
 
 
-def _explain_procedure_from_db(database, name) -> dict:
-    directives = database.get(name)
-    from repro.analyzer.database import directive_payload
-
-    cluster_root = None
-    cluster_members = []
-    for cluster in database.clusters:
-        if cluster.root == name:
-            cluster_root = name
-            cluster_members = sorted(cluster.members)
-        elif name in cluster.members and cluster_root is None:
-            cluster_root = cluster.root
-    return {
-        "name": name,
-        "directives": directive_payload(directives),
-        "cluster_root": cluster_root,
-        "cluster_members": cluster_members,
-        "spill_motion": [],
-        "execution": None,
-    }
-
-
 def explain_procedure(source, name: str) -> dict:
     """Explain a procedure's directives, cluster role, spill motion,
-    and (trace-only) attributed runtime counters."""
+    and attributed runtime counters, from a trace as
+    :func:`explain_global` takes it.  A procedure that no
+    ``directive``, ``cluster-formed`` or ``execution`` record names is
+    ``unknown`` with reason ``not-in-trace``."""
     records = _records_from(source)
-    if records is None:
-        return _explain_procedure_from_db(source, name)
     explanation = {
         "name": name,
         "directives": None,
@@ -285,15 +214,10 @@ def explain_procedure(source, name: str) -> dict:
                 for key, value in payload.items()
                 if key != "procedure"
             }
+    explanation["cluster_root"] = cluster_owners(records).get(name)
     for payload in events_of(records, "cluster-formed"):
         if payload["root"] == name:
-            explanation["cluster_root"] = name
-            explanation["cluster_members"] = list(
-                payload.get("members", [])
-            )
-        elif name in payload.get("members", []):
-            if explanation["cluster_root"] is None:
-                explanation["cluster_root"] = payload["root"]
+            explanation["cluster_members"] = list(payload["members"])
     for type_ in ("mspill-migrated", "mspill-kept"):
         for payload in events_of(records, type_):
             if payload.get("node") == name or (
@@ -307,6 +231,13 @@ def explain_procedure(source, name: str) -> dict:
         per_procedure = payload.get("per_procedure", {})
         if name in per_procedure:
             explanation["execution"] = per_procedure[name]
+    if (
+        explanation["directives"] is None
+        and explanation["cluster_root"] is None
+        and explanation["execution"] is None
+    ):
+        explanation["status"] = "unknown"
+        explanation["reasons"] = ["not-in-trace"]
     return explanation
 
 
@@ -361,7 +292,12 @@ def format_explanation(explanation: dict) -> str:
                 "  promoted in: " + ", ".join(explanation["procedures"])
             )
     else:  # procedure explanation
-        lines.append(f"procedure {explanation['name']}")
+        header = f"procedure {explanation['name']}"
+        if explanation.get("status"):
+            header += f": {explanation['status']}"
+        lines.append(header)
+        for reason in explanation.get("reasons", []):
+            lines.append(f"  reason: {reason}")
         if explanation.get("cluster_root"):
             role = (
                 "cluster root"

@@ -13,8 +13,9 @@ and renders what the allocator *decided* and what it *cost*:
   memory references, and save/restore traffic, rolled up per cluster;
 * the post-link audit summary when verification ran.
 
-Everything is rendered from the trace record stream alone, so
-``--from-trace`` and a fresh compile share one code path.
+Everything, the ``metrics`` exposition included, is rendered from the
+trace record stream alone, so ``--from-trace`` and a fresh compile
+share one code path.
 
 Two profiling commands ride on the same trace plumbing: ``flame``
 folds a span stream (a compile trace or a daemon's
@@ -30,6 +31,7 @@ Usage::
     repro-explain proc main --workload othello
     repro-explain metrics --workload othello
     repro-explain report --from-trace trace.jsonl
+    repro-explain metrics --from-trace trace.jsonl
     repro-explain flame --from-trace service.jsonl --out out.folded
     repro-explain slow --from-trace service.jsonl --top 5
 """
@@ -42,13 +44,21 @@ import os
 import sys
 from collections import Counter
 
+from repro.obs.metrics import fold_trace
 from repro.obs.provenance import (
+    cluster_owners,
     events_of,
     explain_global,
     explain_procedure,
     format_explanation,
 )
-from repro.obs.tracer import Tracer, activate, canonicalize_trace, read_trace
+from repro.obs.tracer import (
+    STAGES,
+    Tracer,
+    activate,
+    canonicalize_trace,
+    read_trace,
+)
 
 COMMANDS = (
     "report", "why", "why-not", "proc", "metrics", "flame", "slow",
@@ -89,9 +99,8 @@ def compile_workload(
 ):
     """Compile + simulate one workload under full tracing.
 
-    Returns ``(records, snapshot, stats, database)``;
-    ``records`` is the in-memory trace (also written to ``save_trace``
-    when given).
+    Returns the in-memory trace records (also written to
+    ``save_trace`` when given).
     """
     from repro.analyzer.options import AnalyzerOptions
     from repro.driver.scheduler import CompilationScheduler
@@ -120,11 +129,10 @@ def compile_workload(
                         database.convention_volatile_registers()
                     ),
                 )
-                stats = simulator.run(workload.max_cycles)
-            snapshot = scheduler.metrics_snapshot()
+                simulator.run(workload.max_cycles)
     finally:
         tracer.close()
-    return tracer.records, snapshot, stats, database
+    return tracer.records
 
 
 # -- report model ----------------------------------------------------------
@@ -180,11 +188,8 @@ def report_data(records) -> dict:
     clusters = []
     migrated = events_of(records, "mspill-migrated")
     kept = events_of(records, "mspill-kept")
-    owner = {}
     for data in events_of(records, "cluster-formed"):
         root = data["root"]
-        for member in data["members"]:
-            owner[member] = root
         moved: set = set()
         for move in migrated:
             if move["cluster_root"] == root:
@@ -202,6 +207,7 @@ def report_data(records) -> dict:
             }
         )
 
+    owner = cluster_owners(records)
     procedures = []
     cluster_cycles: Counter = Counter()
     cluster_saves: Counter = Counter()
@@ -458,14 +464,9 @@ def render_report(records, title: str = "") -> str:
     return "\n".join(out).rstrip() + "\n"
 
 
-def render_metrics(snapshot, stats, database) -> str:
-    """The unified registry's text exposition for one compile+run."""
-    from repro.obs.metrics import unified_registry
-
-    registry = unified_registry(
-        snapshot=snapshot, stats=stats, database=database
-    )
-    return registry.to_text()
+def render_metrics(records) -> str:
+    """The metrics exposition text folded from one compile's trace."""
+    return fold_trace(records).to_text()
 
 
 def render_self_time(records, top: int = 20) -> str:
@@ -494,7 +495,7 @@ def render_self_time(records, top: int = 20) -> str:
 
 def render_slow(records, top: int = 10) -> str:
     """Slowest daemon requests with waits and per-phase breakdown."""
-    from repro.obs.flame import PHASE_SPANS, slowest_requests
+    from repro.obs.flame import slowest_requests
 
     rows = slowest_requests(records, top=top)
     if not rows:
@@ -503,7 +504,7 @@ def render_slow(records, top: int = 10) -> str:
             "REPRO_SERVICE_TRACE stream?)\n"
         )
     headers = ["trace", "req", "op", "seconds", "queue", "lock"]
-    headers += list(PHASE_SPANS) + ["error"]
+    headers += list(STAGES) + ["error"]
     body = []
     for row in rows:
         line = [
@@ -514,7 +515,7 @@ def render_slow(records, top: int = 10) -> str:
             f"{row['queue_wait']:.6f}",
             f"{row['lock_wait']:.6f}",
         ]
-        for phase in PHASE_SPANS:
+        for phase in STAGES:
             seconds = row["phases"].get(phase)
             line.append("-" if seconds is None else f"{seconds:.6f}")
         line.append(row["error"] or "-")
@@ -606,23 +607,17 @@ def main(argv=None) -> int:
 
     if args.command in ("why", "why-not", "proc") and not args.name:
         parser.error(f"{args.command} requires a NAME argument")
-    if args.command == "metrics" and args.from_trace:
-        parser.error(
-            "metrics folds scheduler/simulator state and cannot be"
-            " rendered from a saved trace; drop --from-trace"
-        )
     if args.command == "slow" and not args.from_trace:
         parser.error(
             "slow ranks daemon requests and needs --from-trace"
             " pointing at a REPRO_SERVICE_TRACE stream"
         )
-    snapshot = stats = database = None
     if args.from_trace:
         records = read_trace(args.from_trace)
         title = os.path.basename(args.from_trace)
     else:
         verify = args.verify or None
-        records, snapshot, stats, database = compile_workload(
+        records = compile_workload(
             args.workload,
             config=args.config,
             opt_level=args.opt_level,
@@ -668,24 +663,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "metrics":
-        print(render_metrics(snapshot, stats, database), end="")
+        print(render_metrics(records), end="")
         return 0
 
+    # why / why-not / proc: one explanation path answers all three.
     if args.command == "proc":
         explanation = explain_procedure(records, args.name)
-        if args.json:
-            print(json.dumps(explanation, indent=2))
-        else:
-            print(format_explanation(explanation))
-        return 0
-
-    # why / why-not: one explanation path answers both questions.
-    explanation = explain_global(records, args.name)
+    else:
+        explanation = explain_global(records, args.name)
     if args.json:
         print(json.dumps(explanation, indent=2))
     else:
         print(format_explanation(explanation))
-    return 1 if explanation["status"] == "unknown" else 0
+    return 1 if explanation.get("status") == "unknown" else 0
 
 
 if __name__ == "__main__":

@@ -65,6 +65,11 @@ VOLATILE_FIELDS = ("ord",)
 #: :func:`canonicalize_request_trace`.
 VOLATILE_DATA_FIELDS = ("session",)
 
+#: The scheduler's stage spans, in pipeline order.  Stage seconds, the
+#: metrics fold, the per-request breakdown and the daemon's phase
+#: histograms all read these span names.
+STAGES = ("phase1", "analyze", "phase2", "link", "verify")
+
 
 def _jsonable(value):
     """Render payload values deterministic and JSON-serializable.

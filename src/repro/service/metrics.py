@@ -24,8 +24,8 @@ exposition text the ``/metrics`` endpoint serves.
 
 from __future__ import annotations
 
-from repro.driver.scheduler import STAGES
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.tracer import STAGES
 from repro.service.protocol import PROTOCOL_VERSION
 
 #: Request latencies and per-phase compile histograms share one

@@ -153,15 +153,19 @@ def validate_request(payload: dict):
     :class:`ProtocolError` (carrying the request id whenever one was
     readable) on any violation.
     """
+    # JSON booleans decode to bool, a subclass of int: wherever the
+    # frame or the schema asks for an integer, a bool is refused.
     request_id = payload.get("id")
-    if not isinstance(request_id, (int, str)):
+    if isinstance(request_id, bool) or not isinstance(
+        request_id, (int, str)
+    ):
         raise ProtocolError(
             "missing-id",
             "request must carry an integer or string 'id'",
             request_id=None,
         )
     version = payload.get("version")
-    if version != PROTOCOL_VERSION:
+    if isinstance(version, bool) or version != PROTOCOL_VERSION:
         raise ProtocolError(
             "version-mismatch",
             f"protocol version {version!r} not supported "
@@ -194,7 +198,7 @@ def validate_request(payload: dict):
                 )
             continue
         value = payload[field]
-        if not isinstance(value, types):
+        if isinstance(value, bool) or not isinstance(value, types):
             names = "/".join(t.__name__ for t in types)
             raise ProtocolError(
                 "bad-field",

@@ -57,10 +57,10 @@ from dataclasses import dataclass, field
 from repro.analyzer.options import AnalyzerOptions
 from repro.driver.cache import ArtifactCache
 from repro.driver.pipeline import collect_profile
-from repro.driver.scheduler import STAGES, CompilationScheduler
+from repro.driver.scheduler import CompilationScheduler
 from repro.linker.link import executable_fingerprint
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, SpanClock, Tracer
+from repro.obs.tracer import NULL_TRACER, STAGES, SpanClock, Tracer
 from repro.service import metrics as service_metrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,

@@ -26,28 +26,8 @@ def test_metrics_surface_on_compilation_result():
     assert set(payload) == {
         "stage_seconds", "stage_tasks",
         "cache_hits", "cache_misses", "cache_bad_entries",
-        "cache_evictions", "audit",
+        "cache_evictions",
     }
-    assert payload["audit"] == {}  # auditing was off for this compile
-
-
-def test_minus_carries_audit_snapshot_without_sharing():
-    """The audit dict is a point-in-time snapshot with nested
-    non-numeric values; ``minus`` carries the newer value (never a
-    numeric diff) and never shares mutable structure."""
-    before = MetricsSnapshot(
-        audit={"violation_count": 1, "violations_by_check": {"a": 1}},
-    )
-    after = MetricsSnapshot(
-        audit={"violation_count": 2, "violations_by_check": {"b": 2}},
-    )
-    delta = after.minus(before)
-    assert delta.audit == after.audit
-    assert delta.audit is not after.audit
-    delta.audit["violations_by_check"]["b"] = 99
-    assert after.audit["violations_by_check"]["b"] == 2
-    # The receiver is always the carried side, whatever the operand.
-    assert before.minus(after).audit == before.audit
 
 
 def test_snapshot_json_round_trip():
@@ -58,13 +38,12 @@ def test_snapshot_json_round_trip():
         cache_misses={"phase2": 2},
         cache_bad_entries={},
         cache_evictions={},
-        audit={"violation_count": 0, "violations_by_check": {}},
     )
     payload = snapshot.to_json_dict()
-    # to_json_dict deep-copies nested audit state: mutating the payload
-    # must not reach back into the snapshot.
-    payload["audit"]["violations_by_check"]["x"] = 1
-    assert snapshot.audit["violations_by_check"] == {}
+    # to_json_dict copies each field: mutating the payload must not
+    # reach back into the snapshot.
+    payload["stage_tasks"]["phase1"] = 9
+    assert snapshot.stage_tasks == {"phase1": 3}
 
 
 def test_stage_timing_survives_raising_phase1():

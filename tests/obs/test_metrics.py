@@ -1,20 +1,40 @@
-"""The unified metrics registry and its fold functions."""
+"""The metrics registry and the fold from a trace into it."""
 
 import json
 
 import pytest
 
-from repro.analyzer.database import ClusterRecord
-from repro.driver.scheduler import MetricsSnapshot
-from repro.machine.simulator import ExecutionStats, ProcedureStats
-from repro.obs.metrics import (
-    MetricsRegistry,
-    cluster_owner_map,
-    fold_audit,
-    fold_execution,
-    fold_metrics_snapshot,
-    unified_registry,
-)
+from repro.obs.metrics import MetricsRegistry, fold_audit, fold_trace
+from repro.obs.provenance import cluster_owners
+
+
+def _span(name, seconds, children=(), **data):
+    """Hand-built begin/end records of one span around ``children``."""
+    return (
+        [{"ev": "span-begin", "name": name, "data": data}]
+        + [record for child in children for record in child]
+        + [{"ev": "span-end", "name": name, "seconds": seconds}]
+    )
+
+
+def _event(type_, **data):
+    return [{"ev": "event", "type": type_, "data": data}]
+
+
+def _proc(cycles, loads, stores, save_restore):
+    return {
+        "cycles": cycles, "instructions": cycles, "loads": loads,
+        "stores": stores, "save_restore": save_restore,
+    }
+
+
+def _execution(cycles, per_procedure):
+    return _event(
+        "execution",
+        cycles=cycles, instructions=90, memory_references=8,
+        singleton_references=3, save_restore_executed=12, exit_code=0,
+        per_procedure=per_procedure,
+    )
 
 
 def test_counter_accumulates_per_label_set():
@@ -105,30 +125,30 @@ def test_json_dict_is_json_serializable_and_sorted():
     }
 
 
-def test_fold_metrics_snapshot():
-    snapshot = MetricsSnapshot(
-        stage_seconds={"phase1": 1.5, "analyze": 0.5},
-        stage_tasks={"phase1": 3},
-        cache_hits={"phase1": 2},
-        cache_misses={"phase2": 1},
-        cache_bad_entries={},
-        cache_evictions={},
-        audit={"functions_checked": 7, "calls_checked": 9,
-               "violation_count": 0},
+def test_fold_trace_stage_and_audit_families():
+    modules = [
+        _span("module", 0.25, stage="phase1", module=name)
+        for name in ("a", "b", "c")
+    ]
+    records = (
+        _span("phase1", 1.5, modules, modules=3)
+        + _span("analyze", 0.5)
+        + _event("audit", functions_checked=7, calls_checked=9,
+                 violation_count=0)
     )
-    registry = MetricsRegistry()
-    fold_metrics_snapshot(registry, snapshot)
+    registry = fold_trace(records)
     assert registry.value("repro_scheduler_jobs") is None
     assert registry.value(
         "repro_stage_seconds_total", stage="phase1"
     ) == pytest.approx(1.5)
+    assert registry.value(
+        "repro_stage_seconds_total", stage="analyze"
+    ) == pytest.approx(0.5)
+    assert registry.value(
+        "repro_stage_seconds_total", stage="module"
+    ) is None
     assert registry.value("repro_stage_tasks_total", stage="phase1") == 3
-    assert registry.value(
-        "repro_cache_events_total", stage="phase1", outcome="hits"
-    ) == 2
-    assert registry.value(
-        "repro_cache_events_total", stage="phase2", outcome="misses"
-    ) == 1
+    assert registry.value("repro_stage_tasks_total", stage="analyze") == 1
     assert registry.value("repro_audit_functions_checked") == 7
     assert registry.value("repro_audit_violations") == 0
 
@@ -152,47 +172,31 @@ def test_fold_audit_violations_by_check():
     ) == 1
 
 
-class _FakeDatabase:
-    def __init__(self, clusters):
-        self.clusters = clusters
-
-
-def test_cluster_owner_map_roots_attribute_to_themselves():
-    database = _FakeDatabase(
-        [
-            ClusterRecord(root="a", members=frozenset({"b", "c"})),
-            # "c" is itself a nested root: its own traffic is its own.
-            ClusterRecord(root="c", members=frozenset({"d"})),
-        ]
+def test_cluster_owners_roots_attribute_to_themselves():
+    records = (
+        _event("cluster-formed", root="a", members=["b", "c"])
+        # "c" is itself a nested root: its own traffic is its own.
+        + _event("cluster-formed", root="c", members=["d"])
     )
-    owner = cluster_owner_map(database)
+    owner = cluster_owners(records)
     assert owner["b"] == "a"
     assert owner["d"] == "c"
     assert owner["a"] == "a"
     assert owner["c"] == "c"
 
 
-def test_fold_execution_attributes_per_cluster():
-    stats = ExecutionStats()
-    stats.cycles = 100
-    stats.instructions = 90
-    stats.save_restore_executed = 12
-    stats.per_procedure = {
-        "root": ProcedureStats(
-            cycles=60, instructions=55, loads=4, stores=2, save_restore=8
-        ),
-        "leaf": ProcedureStats(
-            cycles=30, instructions=25, loads=1, stores=1, save_restore=4
-        ),
-        "other": ProcedureStats(
-            cycles=10, instructions=10, loads=0, stores=0, save_restore=0
-        ),
-    }
-    database = _FakeDatabase(
-        [ClusterRecord(root="root", members=frozenset({"leaf"}))]
+def test_fold_trace_attributes_per_cluster():
+    records = _event(
+        "cluster-formed", root="root", members=["leaf"]
+    ) + _execution(
+        100,
+        {
+            "root": _proc(60, loads=4, stores=2, save_restore=8),
+            "leaf": _proc(30, loads=1, stores=1, save_restore=4),
+            "other": _proc(10, loads=0, stores=0, save_restore=0),
+        },
     )
-    registry = MetricsRegistry()
-    fold_execution(registry, stats, database)
+    registry = fold_trace(records)
     assert registry.value("repro_run_cycles") == 100
     assert registry.value("repro_run_save_restore_executed") == 12
     assert registry.value(
@@ -213,20 +217,12 @@ def test_fold_execution_attributes_per_cluster():
     ) == 10
 
 
-def test_unified_registry_composes_all_surfaces():
-    snapshot = MetricsSnapshot(
-        stage_seconds={"phase1": 0.1},
-        stage_tasks={"phase1": 1},
-        cache_hits={},
-        cache_misses={},
-        cache_bad_entries={},
-        cache_evictions={},
-        audit={},
-    )
-    stats = ExecutionStats()
-    stats.cycles = 5
-    registry = unified_registry(snapshot=snapshot, stats=stats)
+def test_fold_trace_composes_all_surfaces():
+    records = _span(
+        "phase1", 0.1, [_span("module", 0.1, stage="phase1", module="m")]
+    ) + _execution(5, {})
+    registry = fold_trace(records)
     assert registry.value("repro_stage_tasks_total", stage="phase1") == 1
     assert registry.value("repro_run_cycles") == 5
-    # All-default call answers an empty but valid registry.
-    assert unified_registry().names() == []
+    # An empty trace answers an empty but valid registry.
+    assert fold_trace([]).names() == []

@@ -156,7 +156,7 @@ def test_per_procedure_cycles_sum_to_program_total(workload):
 
 def test_why_promoted_global_othello():
     """Acceptance: a promoted global explains its coloring win."""
-    _summaries, records, database = _trace_analysis("othello", "C")
+    _summaries, records, _database = _trace_analysis("othello", "C")
     explanation = explain_global(records, "passes")
     assert explanation["status"] == "promoted"
     assert explanation["registers"]
@@ -171,15 +171,10 @@ def test_why_promoted_global_othello():
     assert "promoted" in text
     assert f"r{explanation['registers'][0]}" in text
 
-    # Database-only reconstruction agrees on the verdict.
-    from_db = explain_global(database, "passes")
-    assert from_db["status"] == "promoted"
-    assert from_db["registers"] == explanation["registers"]
-
 
 def test_why_not_coloring_rejected_global_othello():
     """Acceptance: a coloring-rejected global names the winner webs."""
-    _summaries, records, database = _trace_analysis("othello", "C")
+    _summaries, records, _database = _trace_analysis("othello", "C")
     rejected = [
         decision["name"]
         for decision in events_of(records, "global-decision")
@@ -211,23 +206,13 @@ def test_why_not_coloring_rejected_global_othello():
     text = format_explanation(explanation)
     assert "lost to web" in text
 
-    # The database reconstructs the same winners from interference.
-    from_db = explain_global(database, name)
-    assert from_db["status"] == "rejected"
-    db_winner_ids = {
-        winner["web_id"]
-        for web in from_db["webs"]
-        if web["status"] == "uncolored"
-        for winner in web["winners"]
-    }
-    trace_winner_ids = {winner["web_id"] for winner in winners}
-    assert db_winner_ids == trace_winner_ids
-
 
 def test_explain_unknown_global():
     _summaries, records, database = _trace_analysis("dhrystone", "C")
     assert explain_global(records, "no_such")["status"] == "unknown"
-    assert explain_global(database, "no_such")["status"] == "unknown"
+    # A trace is the only source: a database is not taken for one.
+    with pytest.raises(TypeError):
+        explain_global(database, "no_such")
 
 
 def test_ineligible_global_explained():

@@ -1,5 +1,7 @@
 """The ``repro-explain`` CLI end to end (on the fast workload)."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -10,6 +12,21 @@ from repro.obs.report import main, render_report, report_data
 def _run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def dhrystone_c(tmp_path_factory):
+    """A saved dhrystone config-C trace, whose clusters nest (``main``
+    holds ``Proc_1``), and what ``metrics`` printed while saving it."""
+    path = tmp_path_factory.mktemp("trace") / "dhrystone-C.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "metrics", "--workload", "dhrystone", "--config", "C",
+            "--save-trace", str(path),
+        ])
+    assert code == 0
+    return path, out.getvalue()
 
 
 def test_report_renders_paper_tables(capsys):
@@ -57,6 +74,14 @@ def test_why_unknown_global_fails(capsys):
     )
     assert code == 1
     assert "unknown" in out
+
+
+def test_proc_unknown_procedure_fails(dhrystone_c, capsys):
+    path, _out = dhrystone_c
+    code, out = _run(capsys, "proc", "no_such_proc", "--from-trace", str(path))
+    assert code == 1
+    assert "procedure no_such_proc: unknown" in out
+    assert "reason: not-in-trace" in out
 
 
 def test_save_and_reload_trace_render_identically(tmp_path, capsys):
@@ -114,14 +139,32 @@ def test_metrics_subcommand(capsys):
     assert "# TYPE repro_cluster_cycles_total counter" in out
 
 
-def test_metrics_rejects_from_trace(tmp_path, capsys):
-    path = tmp_path / "trace.jsonl"
-    _run(
-        capsys, "report", "--workload", "dhrystone", "--config", "C",
-        "--save-trace", str(path),
-    )
-    with pytest.raises(SystemExit):
-        main(["metrics", "--from-trace", str(path)])
+def test_metrics_from_trace_prints_what_the_compile_printed(
+    dhrystone_c, capsys
+):
+    path, compiled_out = dhrystone_c
+    code, reloaded_out = _run(capsys, "metrics", "--from-trace", str(path))
+    assert code == 0
+    assert reloaded_out == compiled_out
+
+
+def test_report_and_metrics_attribute_cycles_alike(dhrystone_c, capsys):
+    """A cluster root owns its own cycles, even when nested, in the
+    report and in the metrics alike."""
+    path, _out = dhrystone_c
+    code, out = _run(capsys, "report", "--from-trace", str(path), "--json")
+    assert code == 0
+    cluster_cycles = json.loads(out)["execution"]["cluster_cycles"]
+    code, out = _run(capsys, "metrics", "--from-trace", str(path))
+    assert code == 0
+    prefix = 'repro_cluster_cycles_total{root="'
+    samples = {
+        line[len(prefix):].split('"}')[0]: int(line.split()[-1])
+        for line in out.splitlines()
+        if line.startswith(prefix)
+    }
+    assert samples == cluster_cycles
+    assert {"main", "Proc_1"} <= set(samples)
 
 
 def test_why_requires_name(capsys):

@@ -81,6 +81,14 @@ class TestValidation:
     def test_non_scalar_id(self):
         expect_error(frame(id=[1]), "missing-id")
 
+    def test_bool_id(self):
+        # JSON true decodes to bool, an int subclass; it is no id.
+        expect_error(frame(id=True), "missing-id")
+
+    def test_bool_version(self):
+        # True == 1 == PROTOCOL_VERSION, yet a bool names no version.
+        expect_error(frame(version=True), "version-mismatch")
+
     def test_version_mismatch(self):
         error = expect_error(frame(version=99), "version-mismatch")
         # The error names both versions so clients can self-diagnose.
@@ -139,6 +147,17 @@ class TestValidation:
     def test_bad_opt_level(self):
         expect_error(
             frame(type="open_session", opt_level=9), "bad-field"
+        )
+
+    def test_bool_opt_level(self):
+        # False == 0 would open a session at level 0.
+        expect_error(
+            frame(type="open_session", opt_level=False), "bad-field"
+        )
+
+    def test_bool_max_cycles(self):
+        expect_error(
+            frame(type="open_session", max_cycles=True), "bad-field"
         )
 
     def test_null_text_removes(self):
